@@ -12,6 +12,7 @@
 
 #include "assoc/cba.h"
 #include "assoc/model_io.h"
+#include "common/line_format.h"
 #include "data/arff.h"
 #include "data/csv.h"
 #include "data/ingest.h"
@@ -92,26 +93,28 @@ bool DatasetsBitwiseEqual(const Dataset& a, const Dataset& b) {
   return a.weights() == b.weights();
 }
 
-// The fixed schema the model target parses against: models reference
-// attributes by name, so a hostile model file exercises unknown-attribute,
-// unknown-category and wrong-type paths against these.
+// The fixed schema the model and mine targets parse against: models
+// reference attributes by name, so a hostile model file exercises
+// unknown-attribute, unknown-category and wrong-type paths against these.
+// One attribute, one category and one class hold a space and a '%', so
+// the serialize/reparse fixpoints run through the name escape.
 Schema ModelHarnessSchema() {
   Schema schema;
   schema.AddAttribute(Attribute::Numeric("a"));
   schema.AddAttribute(Attribute::Numeric("b"));
   schema.AddAttribute(
-      Attribute::Categorical("color", {"red", "green", "blue"}));
+      Attribute::Categorical("color", {"red", "green", "blue", "sky %blue"}));
+  schema.AddAttribute(Attribute::Numeric("rate %max"));
   schema.GetOrAddClass("neg");
   schema.GetOrAddClass("pos");
+  schema.GetOrAddClass("pos %2");
   return schema;
 }
 
-// A rejected parse must say *where*: every located error in model/schema
-// text names a line; the only unlocated rejection is version skew.
+// A rejected parse must say *where*: a line, a truncation point, or the
+// skewed version (common/line_format.h).
 bool ErrorIsLocated(const Status& status) {
-  const std::string text = status.ToString();
-  return text.find("line") != std::string::npos ||
-         text.find("version") != std::string::npos;
+  return IsLocatedParseError(status.message());
 }
 
 // Renders a parsed JSON tree back to text, reusing each number's original
@@ -494,10 +497,10 @@ void FuzzTune(const uint8_t* data, size_t size) {
   const std::string text(AsText(data, size));
   auto space = ConfigSpace::Parse(text);
   if (!space.ok()) {
-    // Every rejection locates itself: either a specific line or the
-    // file-level "tune config:" prefix for whole-file problems.
+    // Every rejection locates itself in the tune config.
     const std::string error = space.status().ToString();
-    FUZZ_CHECK(error.find("tune config") != std::string::npos,
+    FUZZ_CHECK(ErrorIsLocated(space.status()) &&
+                   error.find("tune config") != std::string::npos,
                "tune config rejection without a located message");
     // Parsing is deterministic: the same bytes reject identically.
     auto again = ConfigSpace::Parse(text);
@@ -676,7 +679,8 @@ void FuzzStream(const uint8_t* data, size_t size) {
              "checkpoint parse verdict is not deterministic");
   if (!parsed.ok()) {
     const std::string error = parsed.status().ToString();
-    FUZZ_CHECK(error.find("stream-checkpoint:") != std::string::npos,
+    FUZZ_CHECK(ErrorIsLocated(parsed.status()) &&
+                   error.find("stream-checkpoint") != std::string::npos,
                "checkpoint rejection without a located message");
     FUZZ_CHECK(error == again.status().ToString(),
                "checkpoint rejection text is not deterministic");
@@ -690,7 +694,9 @@ void FuzzStream(const uint8_t* data, size_t size) {
     FUZZ_CHECK(detector.Serialize() == parsed->drift_blob,
                "restored drift state does not serialize back");
   } else {
-    FUZZ_CHECK(restored.ToString().find("drift-state:") != std::string::npos,
+    FUZZ_CHECK(ErrorIsLocated(restored) &&
+                   restored.message().find("stream-drift") !=
+                       std::string::npos,
                "drift blob rejection without a located message");
   }
 }

@@ -4,118 +4,25 @@
 #include <vector>
 
 #include "common/file_io.h"
-#include "common/string_util.h"
+#include "common/line_format.h"
+#include "pnrule/model_io.h"
 #include "rules/condition.h"
 
 namespace pnr {
 namespace {
 
-// Line cursor with trimmed lines and 1-based physical line tracking; same
-// contract as the PNrule model reader (CRLF/whitespace-tolerant, located
-// errors, truncation distinguishable from malformation).
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : stream_(text) {}
-
-  bool Next(std::string* line) {
-    while (std::getline(stream_, *line)) {
-      ++line_;
-      *line = std::string(TrimWhitespace(*line));
-      if (!line->empty()) return true;
-    }
-    return false;
+// Class-name field with a located NotFound when the schema lacks it.
+StatusOr<CategoryId> TakeClass(Fields* fields, const LineCursor& cursor,
+                               const Schema& schema, const char* what) {
+  std::string name;
+  if (!fields->TakeName(&name)) {
+    return cursor.Error(std::string("expected a ") + what + " name");
   }
-
-  size_t line() const { return line_; }
-
- private:
-  std::istringstream stream_;
-  size_t line_ = 0;
-};
-
-Status ParseError(size_t line, const std::string& detail) {
-  return Status::InvalidArgument("assoc model parse error at line " +
-                                 std::to_string(line) + ": " + detail);
-}
-
-Status TruncatedError(const LineReader& reader, const std::string& expected) {
-  return Status::InvalidArgument(
-      "assoc model parse error: unexpected end of input after line " +
-      std::to_string(reader.line()) + ": expected " + expected);
-}
-
-void WriteCondition(std::ostringstream* out, const Condition& condition,
-                    const Schema& schema) {
-  const Attribute& attr = schema.attribute(condition.attr);
-  *out << "cond ";
-  switch (condition.op) {
-    case ConditionOp::kCatEqual:
-      *out << "cat " << attr.name() << ' '
-           << attr.CategoryName(condition.category);
-      break;
-    case ConditionOp::kLessEqual:
-      *out << "le " << attr.name() << ' ' << condition.hi;
-      break;
-    case ConditionOp::kGreater:
-      *out << "gt " << attr.name() << ' ' << condition.lo;
-      break;
-    case ConditionOp::kInRange:
-      *out << "range " << attr.name() << ' ' << condition.lo << ' '
-           << condition.hi;
-      break;
-  }
-  *out << '\n';
-}
-
-StatusOr<Condition> ParseCondition(const std::vector<std::string>& tokens,
-                                   const Schema& schema, size_t line) {
-  if (tokens.size() < 4 || tokens[0] != "cond") {
-    return ParseError(line, "expected a condition line");
-  }
-  auto attr_or = schema.FindAttribute(tokens[2]);
-  if (!attr_or.ok()) {
-    return ParseError(line, "unknown attribute '" + tokens[2] + "'");
-  }
-  const AttrIndex attr = *attr_or;
-  const std::string& kind = tokens[1];
-  if (kind == "cat") {
-    if (!schema.attribute(attr).is_categorical()) {
-      return ParseError(line, "'" + tokens[2] + "' is not categorical");
-    }
-    const CategoryId value = schema.attribute(attr).FindCategory(tokens[3]);
-    if (value == kInvalidCategory) {
-      return Status::NotFound("assoc model parse error at line " +
-                              std::to_string(line) + ": category '" +
-                              tokens[3] + "' not in attribute '" + tokens[2] +
-                              "'");
-    }
-    return Condition::CatEqual(attr, value);
-  }
-  if (!schema.attribute(attr).is_numeric()) {
-    return ParseError(line, "'" + tokens[2] + "' is not numeric");
-  }
-  double a = 0.0;
-  if (!ParseDouble(tokens[3], &a)) return ParseError(line, "bad number");
-  if (kind == "le") return Condition::LessEqual(attr, a);
-  if (kind == "gt") return Condition::Greater(attr, a);
-  if (kind == "range") {
-    double b = 0.0;
-    if (tokens.size() < 5 || !ParseDouble(tokens[4], &b) || b < a) {
-      return ParseError(line, "bad range bounds");
-    }
-    return Condition::InRange(attr, a, b);
-  }
-  return ParseError(line, "unknown condition kind '" + kind + "'");
-}
-
-// Class-name lookup with a located NotFound on failure.
-StatusOr<CategoryId> FindClass(const Schema& schema, const std::string& name,
-                               size_t line, const char* what) {
   const CategoryId cls = schema.class_attr().FindCategory(name);
   if (cls == kInvalidCategory) {
-    return Status::NotFound("assoc model parse error at line " +
-                            std::to_string(line) + ": " + what + " '" + name +
-                            "' is not a class of the schema");
+    return cursor.Error(std::string(what) + " '" + name +
+                            "' is not a class of the schema",
+                        StatusCode::kNotFound);
   }
   return cls;
 }
@@ -127,8 +34,10 @@ std::string SerializeAssocModel(const AssocClassifier& model,
   std::ostringstream out;
   out.precision(17);
   out << "pnr-assoc-model v1\n";
-  out << "target " << schema.class_attr().CategoryName(model.target()) << '\n';
-  out << "default " << schema.class_attr().CategoryName(model.default_class())
+  const Attribute& classes = schema.class_attr();
+  out << "target " << EscapeName(classes.CategoryName(model.target()))
+      << '\n';
+  out << "default " << EscapeName(classes.CategoryName(model.default_class()))
       << ' ' << model.default_score() << '\n';
   out << "threshold " << model.threshold() << '\n';
   out << "rules " << model.rules().size() << '\n';
@@ -136,11 +45,11 @@ std::string SerializeAssocModel(const AssocClassifier& model,
     const Rule& rule = model.rules().rule(r);
     const AssocClassifier::RuleInfo& info = model.rule_info()[r];
     out << "rule " << rule.size() << ' '
-        << schema.class_attr().CategoryName(info.cls) << ' ' << info.support
+        << EscapeName(classes.CategoryName(info.cls)) << ' ' << info.support
         << ' ' << info.class_support << ' ' << info.confidence << ' '
         << info.lift << ' ' << info.target_score << '\n';
     for (const Condition& condition : rule.conditions()) {
-      WriteCondition(&out, condition, schema);
+      WriteCondition(out, condition, schema);
     }
   }
   out << "end\n";
@@ -149,119 +58,99 @@ std::string SerializeAssocModel(const AssocClassifier& model,
 
 StatusOr<AssocClassifier> ParseAssocModel(const std::string& text,
                                           const Schema& schema) {
-  LineReader reader(text);
-  std::string line;
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'pnr-assoc-model v1' header");
-  }
-  auto tokens = SplitWhitespace(line);
-  if (tokens.size() != 2 || tokens[0] != "pnr-assoc-model") {
-    return ParseError(reader.line(), "missing 'pnr-assoc-model v1' header");
-  }
-  if (tokens[1] != "v1") {
-    return Status::InvalidArgument(
-        "unsupported assoc model format version '" + tokens[1] +
-        "' (this build reads v1)");
-  }
+  LineCursor cursor(text, "assoc model");
+  Status status = cursor.ReadHeader("pnr-assoc-model");
+  if (!status.ok()) return status;
 
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'target <class name>'");
+  Fields fields;
+  if (!cursor.Next(&fields)) {
+    return cursor.Truncated("'target <class name>'");
   }
-  tokens = SplitWhitespace(line);
-  if (tokens.size() != 2 || tokens[0] != "target") {
-    return ParseError(reader.line(), "expected 'target <class name>'");
+  if (!fields.TakeKeyword("target")) {
+    return cursor.Error("expected 'target <class name>'");
   }
-  auto target = FindClass(schema, tokens[1], reader.line(), "target class");
+  auto target = TakeClass(&fields, cursor, schema, "target class");
   if (!target.ok()) return target.status();
+  if (!fields.Exhausted()) {
+    return cursor.Error("expected 'target <class name>'");
+  }
 
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'default <class name> <score>'");
+  if (!cursor.Next(&fields)) {
+    return cursor.Truncated("'default <class name> <score>'");
   }
-  tokens = SplitWhitespace(line);
-  double default_score = 0.0;
-  if (tokens.size() != 3 || tokens[0] != "default" ||
-      !ParseDouble(tokens[2], &default_score)) {
-    return ParseError(reader.line(), "expected 'default <class name> <score>'");
+  if (!fields.TakeKeyword("default")) {
+    return cursor.Error("expected 'default <class name> <score>'");
   }
-  auto default_class =
-      FindClass(schema, tokens[1], reader.line(), "default class");
+  auto default_class = TakeClass(&fields, cursor, schema, "default class");
   if (!default_class.ok()) return default_class.status();
+  double default_score = 0.0;
+  if (!fields.TakeDouble(&default_score) || !fields.Exhausted()) {
+    return cursor.Error("expected 'default <class name> <score>'");
+  }
   if (!(default_score >= 0.0 && default_score <= 1.0)) {
-    return ParseError(reader.line(), "default score must be in [0, 1]");
+    return cursor.Error("default score must be in [0, 1]");
   }
 
-  if (!reader.Next(&line)) return TruncatedError(reader, "'threshold <t>'");
-  tokens = SplitWhitespace(line);
+  if (!cursor.Next(&fields)) return cursor.Truncated("'threshold <t>'");
   double threshold = 0.5;
-  if (tokens.size() != 2 || tokens[0] != "threshold" ||
-      !ParseDouble(tokens[1], &threshold)) {
-    return ParseError(reader.line(), "expected 'threshold <t>'");
+  if (!fields.TakeKeyword("threshold") || !fields.TakeDouble(&threshold) ||
+      !fields.Exhausted()) {
+    return cursor.Error("expected 'threshold <t>'");
   }
 
-  if (!reader.Next(&line)) return TruncatedError(reader, "'rules <count>'");
-  tokens = SplitWhitespace(line);
-  long long count = 0;
-  if (tokens.size() != 2 || tokens[0] != "rules" ||
-      !ParseInt64(tokens[1], &count) || count < 0) {
-    return ParseError(reader.line(), "expected 'rules <count>'");
-  }
+  uint64_t count = 0;
+  status = cursor.ReadCount("rules", &count);
+  if (!status.ok()) return status;
 
   RuleSet rules;
   std::vector<AssocClassifier::RuleInfo> info;
-  for (long long r = 0; r < count; ++r) {
-    if (!reader.Next(&line)) {
-      return TruncatedError(reader, "rule " + std::to_string(r + 1) + " of " +
-                                        std::to_string(count));
+  for (uint64_t r = 0; r < count; ++r) {
+    std::string_view line;
+    if (!cursor.Next(&line)) {
+      return cursor.Truncated("rule " + std::to_string(r + 1) + " of " +
+                              std::to_string(count));
     }
-    tokens = SplitWhitespace(line);
-    long long num_conditions = 0;
-    long long support = 0;
-    long long class_support = 0;
-    AssocClassifier::RuleInfo ri;
-    if (tokens.size() != 8 || tokens[0] != "rule" ||
-        !ParseInt64(tokens[1], &num_conditions) || num_conditions < 0 ||
-        !ParseInt64(tokens[3], &support) || support < 0 ||
-        !ParseInt64(tokens[4], &class_support) || class_support < 0 ||
-        class_support > support ||
-        !ParseDouble(tokens[5], &ri.confidence) ||
-        !ParseDouble(tokens[6], &ri.lift) ||
-        !ParseDouble(tokens[7], &ri.target_score)) {
-      return ParseError(reader.line(), "bad rule header '" + line + "'");
+    const std::string bad_header = "bad rule header '" + std::string(line) +
+                                   "'";
+    fields = Fields(line, LineMode::kTrimmed);
+    uint64_t num_conditions = 0;
+    if (!fields.TakeKeyword("rule") || !fields.TakeUint(&num_conditions)) {
+      return cursor.Error(bad_header);
     }
-    auto cls = FindClass(schema, tokens[2], reader.line(), "rule class");
+    auto cls = TakeClass(&fields, cursor, schema, "rule class");
     if (!cls.ok()) return cls.status();
+    AssocClassifier::RuleInfo ri;
+    ri.cls = *cls;
+    if (!fields.TakeUint(&ri.support) || !fields.TakeUint(&ri.class_support) ||
+        ri.class_support > ri.support ||
+        !fields.TakeDouble(&ri.confidence) || !fields.TakeDouble(&ri.lift) ||
+        !fields.TakeDouble(&ri.target_score) || !fields.Exhausted()) {
+      return cursor.Error(bad_header);
+    }
     if (!(ri.confidence >= 0.0 && ri.confidence <= 1.0) ||
         !(ri.lift >= 0.0) ||
         !(ri.target_score >= 0.0 && ri.target_score <= 1.0)) {
-      return ParseError(reader.line(), "rule statistics out of range");
+      return cursor.Error("rule statistics out of range");
     }
-    ri.cls = *cls;
-    ri.support = static_cast<uint64_t>(support);
-    ri.class_support = static_cast<uint64_t>(class_support);
     Rule rule;
-    for (long long c = 0; c < num_conditions; ++c) {
-      if (!reader.Next(&line)) {
-        return TruncatedError(reader, "condition " + std::to_string(c + 1) +
-                                          " of " +
-                                          std::to_string(num_conditions));
+    for (uint64_t c = 0; c < num_conditions; ++c) {
+      if (!cursor.Next(&fields)) {
+        return cursor.Truncated("condition " + std::to_string(c + 1) +
+                                " of " + std::to_string(num_conditions));
       }
-      auto condition =
-          ParseCondition(SplitWhitespace(line), schema, reader.line());
+      auto condition = ParseCondition(&fields, cursor, schema);
       if (!condition.ok()) return condition.status();
       rule.AddCondition(*condition);
     }
-    rule.train_stats.covered = static_cast<double>(support);
+    rule.train_stats.covered = static_cast<double>(ri.support);
     rule.train_stats.positive =
-        ri.target_score * static_cast<double>(support);
+        ri.target_score * static_cast<double>(ri.support);
     info.push_back(ri);
     rules.AddRule(std::move(rule));
   }
 
-  if (!reader.Next(&line)) return TruncatedError(reader, "'end' marker");
-  if (line != "end") return ParseError(reader.line(), "missing 'end' marker");
-  if (reader.Next(&line)) {
-    return ParseError(reader.line(), "trailing content after 'end'");
-  }
+  status = cursor.Finish();
+  if (!status.ok()) return status;
 
   AssocClassifier model(std::move(rules), std::move(info), *target,
                         *default_class, default_score);
@@ -281,10 +170,28 @@ StatusOr<AssocClassifier> LoadAssocModel(const std::string& path,
   return ParseAssocModel(*text, schema);
 }
 
-bool LooksLikeAssocModel(const std::string& text) {
-  const std::string_view trimmed = TrimWhitespace(text);
-  const std::string_view header = "pnr-assoc-model";
-  return trimmed.substr(0, header.size()) == header;
+StatusOr<AnyModel> ParseAnyModel(const std::string& text,
+                                 const Schema& schema) {
+  LineCursor probe(text, "model");
+  Fields header;
+  AnyModel any;
+  if (probe.Next(&header) && header.TakeKeyword("pnr-assoc-model")) {
+    auto model = ParseAssocModel(text, schema);
+    if (!model.ok()) return model.status();
+    any.kind = "assoc";
+    any.primary_rules = model->rules().size();
+    any.classifier =
+        std::make_unique<AssocClassifier>(std::move(model).value());
+    return any;
+  }
+  auto model = ParsePnruleModel(text, schema);
+  if (!model.ok()) return model.status();
+  any.kind = "pnrule";
+  any.primary_rules = model->p_rules().size();
+  any.secondary_rules = model->n_rules().size();
+  any.classifier =
+      std::make_unique<PnruleClassifier>(std::move(model).value());
+  return any;
 }
 
 }  // namespace pnr

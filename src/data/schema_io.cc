@@ -4,73 +4,9 @@
 #include <vector>
 
 #include "common/file_io.h"
-#include "common/string_util.h"
+#include "common/line_format.h"
 
 namespace pnr {
-namespace {
-
-// Error on the content of line `line` (1-based physical line number).
-Status ParseError(size_t line, const std::string& detail) {
-  return Status::InvalidArgument("schema parse error at line " +
-                                 std::to_string(line) + ": " + detail);
-}
-
-// Line cursor tolerating CRLF and trailing whitespace (every line is
-// trimmed before use). Unlike the model reader this one must preserve
-// blank *suffixes* of keyword lines ("value" with an empty value), so it
-// does not skip lines that trim to a bare keyword. Tracks the 1-based
-// physical line number so parse errors can name where they happened.
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : stream_(text) {}
-
-  bool Next(std::string* line) {
-    while (std::getline(stream_, *line)) {
-      ++line_;
-      *line = std::string(TrimWhitespace(*line));
-      if (!line->empty()) return true;
-    }
-    return false;
-  }
-
-  /// Physical line of the last line Next returned (0 before the first).
-  size_t line() const { return line_; }
-
- private:
-  std::istringstream stream_;
-  size_t line_ = 0;
-};
-
-// Error for input that ended mid-record: names the last line that existed
-// and the token the parser was still waiting for, so a truncated file is
-// distinguishable from a malformed one.
-Status TruncatedError(const LineReader& reader, const std::string& expected) {
-  return Status::InvalidArgument(
-      "schema parse error: unexpected end of input after line " +
-      std::to_string(reader.line()) + ": expected " + expected);
-}
-
-// Splits a trimmed line into its first token and the trimmed remainder
-// ("categorical 3 proto type" -> "categorical", "3 proto type").
-void SplitKeyword(const std::string& line, std::string* keyword,
-                  std::string* rest) {
-  size_t space = 0;
-  while (space < line.size() && line[space] != ' ' && line[space] != '\t') {
-    ++space;
-  }
-  *keyword = line.substr(0, space);
-  *rest = std::string(TrimWhitespace(line.substr(space)));
-}
-
-// Splits `rest` into a leading integer and the trimmed remainder.
-bool SplitCount(const std::string& rest, long long* count,
-                std::string* name) {
-  std::string count_token;
-  SplitKeyword(rest, &count_token, name);
-  return ParseInt64(count_token, count) && *count >= 0;
-}
-
-}  // namespace
 
 std::string SerializeSchema(const Schema& schema) {
   std::ostringstream out;
@@ -79,127 +15,104 @@ std::string SerializeSchema(const Schema& schema) {
   for (size_t a = 0; a < schema.num_attributes(); ++a) {
     const Attribute& attr = schema.attribute(static_cast<AttrIndex>(a));
     if (attr.is_numeric()) {
-      out << "numeric " << attr.name() << '\n';
+      out << "numeric " << EscapeName(attr.name()) << '\n';
     } else {
-      out << "categorical " << attr.num_categories() << ' ' << attr.name()
-          << '\n';
+      out << "categorical " << attr.num_categories() << ' '
+          << EscapeName(attr.name()) << '\n';
       for (size_t v = 0; v < attr.num_categories(); ++v) {
-        out << "value " << attr.CategoryName(static_cast<CategoryId>(v))
+        out << "value "
+            << EscapeName(attr.CategoryName(static_cast<CategoryId>(v)))
             << '\n';
       }
     }
   }
   const Attribute& cls = schema.class_attr();
-  out << "class " << cls.num_categories() << ' ' << cls.name() << '\n';
+  out << "class " << cls.num_categories() << ' ' << EscapeName(cls.name())
+      << '\n';
   for (size_t v = 0; v < cls.num_categories(); ++v) {
-    out << "label " << cls.CategoryName(static_cast<CategoryId>(v)) << '\n';
+    out << "label "
+        << EscapeName(cls.CategoryName(static_cast<CategoryId>(v))) << '\n';
   }
   out << "end\n";
   return out.str();
 }
 
 StatusOr<Schema> ParseSchema(const std::string& text) {
-  LineReader reader(text);
-  std::string line;
-  std::string keyword;
-  std::string rest;
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'pnrule-schema v1' header");
-  }
-  SplitKeyword(line, &keyword, &rest);
-  if (keyword != "pnrule-schema") {
-    return ParseError(reader.line(), "missing 'pnrule-schema v1' header");
-  }
-  if (rest != "v1") {
-    return Status::InvalidArgument("unsupported schema format version '" +
-                                   rest + "' (this build reads v1)");
-  }
+  LineCursor cursor(text, "schema");
+  Status status = cursor.ReadHeader("pnrule-schema");
+  if (!status.ok()) return status;
 
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'attributes <n>'");
-  }
-  SplitKeyword(line, &keyword, &rest);
-  long long num_attrs = 0;
-  if (keyword != "attributes" || !ParseInt64(rest, &num_attrs) ||
-      num_attrs < 0) {
-    return ParseError(reader.line(), "expected 'attributes <n>'");
-  }
+  uint64_t num_attrs = 0;
+  status = cursor.ReadCount("attributes", &num_attrs);
+  if (!status.ok()) return status;
 
   Schema schema;
-  for (long long a = 0; a < num_attrs; ++a) {
-    if (!reader.Next(&line)) {
-      return TruncatedError(reader, "attribute " + std::to_string(a + 1) +
-                                        " of " + std::to_string(num_attrs));
+  Fields fields;
+  for (uint64_t a = 0; a < num_attrs; ++a) {
+    if (!cursor.Next(&fields)) {
+      return cursor.Truncated("attribute " + std::to_string(a + 1) + " of " +
+                              std::to_string(num_attrs));
     }
-    SplitKeyword(line, &keyword, &rest);
+    std::string_view keyword;
+    std::string name;
+    fields.Take(&keyword);
     if (keyword == "numeric") {
-      if (rest.empty()) {
-        return ParseError(reader.line(), "numeric attribute without name");
+      if (!fields.TakeName(&name) || !fields.Exhausted()) {
+        return cursor.Error("expected 'numeric <name>'");
       }
-      schema.AddAttribute(Attribute::Numeric(rest));
+      schema.AddAttribute(Attribute::Numeric(name));
       continue;
     }
     if (keyword != "categorical") {
-      return ParseError(reader.line(),
-                        "expected 'numeric' or 'categorical', got '" +
-                            keyword + "'");
+      return cursor.Error("expected 'numeric' or 'categorical', got '" +
+                          std::string(keyword) + "'");
     }
-    long long num_values = 0;
-    std::string name;
-    if (!SplitCount(rest, &num_values, &name) || name.empty()) {
-      return ParseError(reader.line(), "expected 'categorical <k> <name>'");
+    uint64_t num_values = 0;
+    if (!fields.TakeUint(&num_values) || !fields.TakeName(&name) ||
+        !fields.Exhausted()) {
+      return cursor.Error("expected 'categorical <k> <name>'");
     }
     std::vector<std::string> values;
-    values.reserve(static_cast<size_t>(num_values));
-    for (long long v = 0; v < num_values; ++v) {
-      if (!reader.Next(&line)) {
-        return TruncatedError(reader, "value " + std::to_string(v + 1) +
-                                          " of " +
-                                          std::to_string(num_values) +
-                                          " for attribute '" + name + "'");
+    for (uint64_t v = 0; v < num_values; ++v) {
+      if (!cursor.Next(&fields)) {
+        return cursor.Truncated("value " + std::to_string(v + 1) + " of " +
+                                std::to_string(num_values) +
+                                " for attribute '" + name + "'");
       }
-      SplitKeyword(line, &keyword, &rest);
-      if (keyword != "value") {
-        return ParseError(reader.line(), "expected 'value <v>'");
+      std::string value;
+      if (!fields.TakeKeyword("value") || !fields.TakeName(&value) ||
+          !fields.Exhausted()) {
+        return cursor.Error("expected 'value <v>'");
       }
-      values.push_back(rest);
+      values.push_back(std::move(value));
     }
     schema.AddAttribute(Attribute::Categorical(name, std::move(values)));
   }
 
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'class <k> <name>'");
-  }
-  SplitKeyword(line, &keyword, &rest);
-  long long num_labels = 0;
+  if (!cursor.Next(&fields)) return cursor.Truncated("'class <k> <name>'");
+  uint64_t num_labels = 0;
   std::string class_name;
-  if (keyword != "class" || !SplitCount(rest, &num_labels, &class_name) ||
-      class_name.empty()) {
-    return ParseError(reader.line(), "expected 'class <k> <name>'");
+  if (!fields.TakeKeyword("class") || !fields.TakeUint(&num_labels) ||
+      !fields.TakeName(&class_name) || !fields.Exhausted()) {
+    return cursor.Error("expected 'class <k> <name>'");
   }
   // The default-constructed class attribute is named "class"; rebuild it
   // with the recorded name so round-trips are exact.
   schema.class_attr() = Attribute::Categorical(class_name);
-  for (long long v = 0; v < num_labels; ++v) {
-    if (!reader.Next(&line)) {
-      return TruncatedError(reader, "label " + std::to_string(v + 1) +
-                                        " of " + std::to_string(num_labels));
+  for (uint64_t v = 0; v < num_labels; ++v) {
+    if (!cursor.Next(&fields)) {
+      return cursor.Truncated("label " + std::to_string(v + 1) + " of " +
+                              std::to_string(num_labels));
     }
-    SplitKeyword(line, &keyword, &rest);
-    if (keyword != "label") {
-      return ParseError(reader.line(), "expected 'label <v>'");
+    std::string label;
+    if (!fields.TakeKeyword("label") || !fields.TakeName(&label) ||
+        !fields.Exhausted()) {
+      return cursor.Error("expected 'label <v>'");
     }
-    schema.GetOrAddClass(rest);
+    schema.GetOrAddClass(label);
   }
-  if (!reader.Next(&line)) return TruncatedError(reader, "'end' marker");
-  if (line != "end") {
-    return ParseError(reader.line(), "missing 'end' marker");
-  }
-  // Content after 'end' means concatenation or corruption; reject rather
-  // than silently ignore.
-  if (reader.Next(&line)) {
-    return ParseError(reader.line(), "trailing content after 'end'");
-  }
+  status = cursor.Finish();
+  if (!status.ok()) return status;
   return schema;
 }
 

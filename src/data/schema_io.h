@@ -7,8 +7,8 @@
 // one next to every saved model (`<model>.schema`), and the serving
 // registry loads the pair.
 //
-// Format (v1), line-oriented like the model format; names and values are
-// the remainder of their line, so they may contain internal spaces:
+// Format (v1), in the shared line grammar of common/line_format.h (names
+// escaped, so each is one field):
 //   pnrule-schema v1
 //   attributes <n>
 //   numeric <name>               | categorical <k> <name>

@@ -4,33 +4,11 @@
 #include <sstream>
 
 #include "common/file_io.h"
+#include "common/line_format.h"
 #include "common/string_util.h"
 
 namespace pnr {
 namespace {
-
-void WriteCondition(std::ostringstream* out, const Condition& condition,
-                    const Schema& schema) {
-  const Attribute& attr = schema.attribute(condition.attr);
-  *out << "cond ";
-  switch (condition.op) {
-    case ConditionOp::kCatEqual:
-      *out << "cat " << attr.name() << ' '
-           << attr.CategoryName(condition.category);
-      break;
-    case ConditionOp::kLessEqual:
-      *out << "le " << attr.name() << ' ' << condition.hi;
-      break;
-    case ConditionOp::kGreater:
-      *out << "gt " << attr.name() << ' ' << condition.lo;
-      break;
-    case ConditionOp::kInRange:
-      *out << "range " << attr.name() << ' ' << condition.lo << ' '
-           << condition.hi;
-      break;
-  }
-  *out << '\n';
-}
 
 void WriteRuleSet(std::ostringstream* out, const RuleSet& rules,
                   const Schema& schema, const char* header) {
@@ -39,140 +17,111 @@ void WriteRuleSet(std::ostringstream* out, const RuleSet& rules,
     *out << "rule " << rule.size() << ' ' << rule.train_stats.covered << ' '
          << rule.train_stats.positive << '\n';
     for (const Condition& condition : rule.conditions()) {
-      WriteCondition(out, condition, schema);
+      WriteCondition(*out, condition, schema);
     }
   }
 }
 
-// Line-cursor over the serialized text. Trimming each line makes the
-// parser indifferent to CRLF endings and trailing whitespace — model files
-// that round-tripped through Windows editors or copy-paste parse the same
-// as pristine ones. Tracks the 1-based physical line number so every parse
-// error (including EOF mid-record) can name where it happened.
-class LineReader {
- public:
-  explicit LineReader(const std::string& text) : stream_(text) {}
-
-  /// Next non-empty line (trimmed); false at end of input.
-  bool Next(std::string* line) {
-    while (std::getline(stream_, *line)) {
-      ++line_;
-      *line = std::string(TrimWhitespace(*line));
-      if (!line->empty()) return true;
-    }
-    return false;
-  }
-
-  /// Physical line of the last line Next returned (0 before the first).
-  size_t line() const { return line_; }
-
- private:
-  std::istringstream stream_;
-  size_t line_ = 0;
-};
-
-// Error on the content of line `line`.
-Status ParseError(size_t line, const std::string& detail) {
-  return Status::InvalidArgument("model parse error at line " +
-                                 std::to_string(line) + ": " + detail);
-}
-
-// Error for input that ended mid-record: names the last line that existed
-// and what the parser was still waiting for, so a truncated file is
-// distinguishable from a malformed one.
-Status TruncatedError(const LineReader& reader, const std::string& expected) {
-  return Status::InvalidArgument(
-      "model parse error: unexpected end of input after line " +
-      std::to_string(reader.line()) + ": expected " + expected);
-}
-
-StatusOr<Condition> ParseCondition(const std::vector<std::string>& tokens,
-                                   const Schema& schema, size_t line) {
-  if (tokens.size() < 4 || tokens[0] != "cond") {
-    return ParseError(line, "expected a condition line");
-  }
-  auto attr_or = schema.FindAttribute(tokens[2]);
-  if (!attr_or.ok()) {
-    return ParseError(line, "unknown attribute '" + tokens[2] + "'");
-  }
-  const AttrIndex attr = *attr_or;
-  const std::string& kind = tokens[1];
-  if (kind == "cat") {
-    if (!schema.attribute(attr).is_categorical()) {
-      return ParseError(line, "'" + tokens[2] + "' is not categorical");
-    }
-    const CategoryId value = schema.attribute(attr).FindCategory(tokens[3]);
-    if (value == kInvalidCategory) {
-      return Status::NotFound("model parse error at line " +
-                              std::to_string(line) + ": category '" +
-                              tokens[3] + "' not in attribute '" + tokens[2] +
-                              "'");
-    }
-    return Condition::CatEqual(attr, value);
-  }
-  if (!schema.attribute(attr).is_numeric()) {
-    return ParseError(line, "'" + tokens[2] + "' is not numeric");
-  }
-  double a = 0.0;
-  if (!ParseDouble(tokens[3], &a)) return ParseError(line, "bad number");
-  if (kind == "le") return Condition::LessEqual(attr, a);
-  if (kind == "gt") return Condition::Greater(attr, a);
-  if (kind == "range") {
-    double b = 0.0;
-    if (tokens.size() < 5 || !ParseDouble(tokens[4], &b) || b < a) {
-      return ParseError(line, "bad range bounds");
-    }
-    return Condition::InRange(attr, a, b);
-  }
-  return ParseError(line, "unknown condition kind '" + kind + "'");
-}
-
-StatusOr<RuleSet> ParseRuleSet(LineReader* reader, const Schema& schema,
-                               const std::string& header_line,
-                               const char* expected_header) {
-  const auto header = SplitWhitespace(header_line);
-  long long count = 0;
-  if (header.size() != 2 || header[0] != expected_header ||
-      !ParseInt64(header[1], &count) || count < 0) {
-    return ParseError(reader->line(), std::string("expected '") +
-                                          expected_header + " <count>'");
-  }
+StatusOr<RuleSet> ReadRuleSet(LineCursor* cursor, const Schema& schema,
+                              const char* header) {
+  uint64_t count = 0;
+  const Status status = cursor->ReadCount(header, &count);
+  if (!status.ok()) return status;
+  Fields fields;
   RuleSet rules;
-  std::string line;
-  for (long long r = 0; r < count; ++r) {
-    if (!reader->Next(&line)) {
-      return TruncatedError(*reader,
-                            "rule " + std::to_string(r + 1) + " of " +
-                                std::to_string(count) + " in " +
-                                expected_header);
+  for (uint64_t r = 0; r < count; ++r) {
+    std::string_view line;
+    if (!cursor->Next(&line)) {
+      return cursor->Truncated("rule " + std::to_string(r + 1) + " of " +
+                               std::to_string(count) + " in " + header);
     }
-    const auto rule_header = SplitWhitespace(line);
-    long long num_conditions = 0;
-    double covered = 0.0;
-    double positive = 0.0;
-    if (rule_header.size() != 4 || rule_header[0] != "rule" ||
-        !ParseInt64(rule_header[1], &num_conditions) ||
-        !ParseDouble(rule_header[2], &covered) ||
-        !ParseDouble(rule_header[3], &positive) || num_conditions < 0) {
-      return ParseError(reader->line(), "bad rule header '" + line + "'");
-    }
+    fields = Fields(line, LineMode::kTrimmed);
+    uint64_t num_conditions = 0;
     Rule rule;
-    for (long long c = 0; c < num_conditions; ++c) {
-      if (!reader->Next(&line)) {
-        return TruncatedError(*reader,
-                              "condition " + std::to_string(c + 1) + " of " +
-                                  std::to_string(num_conditions));
+    if (!fields.TakeKeyword("rule") || !fields.TakeUint(&num_conditions) ||
+        !fields.TakeDouble(&rule.train_stats.covered) ||
+        !fields.TakeDouble(&rule.train_stats.positive) ||
+        !fields.Exhausted()) {
+      return cursor->Error("bad rule header '" + std::string(line) + "'");
+    }
+    for (uint64_t c = 0; c < num_conditions; ++c) {
+      if (!cursor->Next(&fields)) {
+        return cursor->Truncated("condition " + std::to_string(c + 1) +
+                                 " of " + std::to_string(num_conditions));
       }
-      auto condition =
-          ParseCondition(SplitWhitespace(line), schema, reader->line());
+      auto condition = ParseCondition(&fields, *cursor, schema);
       if (!condition.ok()) return condition.status();
       rule.AddCondition(*condition);
     }
-    rule.train_stats.covered = covered;
-    rule.train_stats.positive = positive;
     rules.AddRule(std::move(rule));
   }
   return rules;
+}
+
+// Reads one "pnrule-model v1" document up to its closing 'end' line, which
+// the caller reads: alone, or as a block embedded in a multiclass file.
+StatusOr<PnruleClassifier> ReadPnruleModel(LineCursor* cursor,
+                                           const Schema& schema) {
+  Status status = cursor->ReadHeader("pnrule-model");
+  if (!status.ok()) return status;
+  Fields fields;
+  if (!cursor->Next(&fields)) return cursor->Truncated("'threshold <t>'");
+  double threshold = 0.5;
+  if (!fields.TakeKeyword("threshold") || !fields.TakeDouble(&threshold) ||
+      !fields.Exhausted()) {
+    return cursor->Error("expected 'threshold <t>'");
+  }
+  uint64_t use_matrix = 1;
+  status = cursor->ReadCount("use_score_matrix", &use_matrix);
+  if (!status.ok()) return status;
+  auto p_rules = ReadRuleSet(cursor, schema, "p-rules");
+  if (!p_rules.ok()) return p_rules.status();
+  auto n_rules = ReadRuleSet(cursor, schema, "n-rules");
+  if (!n_rules.ok()) return n_rules.status();
+
+  if (!cursor->Next(&fields)) {
+    return cursor->Truncated("'scores <p> <n>' header");
+  }
+  uint64_t num_p = 0;
+  uint64_t num_n = 0;
+  if (!fields.TakeKeyword("scores") || !fields.TakeUint(&num_p) ||
+      !fields.TakeUint(&num_n) || !fields.Exhausted() ||
+      num_p != p_rules->size() || num_n != n_rules->size()) {
+    return cursor->Error("score matrix header mismatch");
+  }
+  std::vector<double> scores;
+  std::vector<double> weights;
+  scores.reserve(num_p * (num_n + 1));
+  weights.reserve(num_p * (num_n + 1));
+  for (uint64_t p = 0; p < num_p; ++p) {
+    if (!cursor->Next(&fields)) {
+      return cursor->Truncated("score row " + std::to_string(p + 1) + " of " +
+                               std::to_string(num_p));
+    }
+    for (uint64_t n = 0; n <= num_n; ++n) {
+      std::string_view cell;
+      if (!fields.Take(&cell)) return cursor->Error("wrong score-row arity");
+      const size_t colon = cell.find(':');
+      double score = 0.0;
+      double weight = 0.0;
+      if (colon == std::string_view::npos ||
+          !ParseDouble(cell.substr(0, colon), &score) ||
+          !ParseDouble(cell.substr(colon + 1), &weight)) {
+        return cursor->Error("bad score cell '" + std::string(cell) + "'");
+      }
+      scores.push_back(score);
+      weights.push_back(weight);
+    }
+    if (!fields.Exhausted()) return cursor->Error("wrong score-row arity");
+  }
+
+  PnruleClassifier model(
+      std::move(*p_rules), std::move(*n_rules),
+      ScoreMatrix::FromValues(num_p, num_n, std::move(scores),
+                              std::move(weights)),
+      use_matrix != 0);
+  model.set_threshold(threshold);
+  return model;
 }
 
 }  // namespace
@@ -202,101 +151,11 @@ std::string SerializePnruleModel(const PnruleClassifier& model,
 
 StatusOr<PnruleClassifier> ParsePnruleModel(const std::string& text,
                                             const Schema& schema) {
-  LineReader reader(text);
-  std::string line;
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'pnrule-model v1' header");
-  }
-  const auto header = SplitWhitespace(line);
-  if (header.size() != 2 || header[0] != "pnrule-model") {
-    return ParseError(reader.line(), "missing 'pnrule-model v1' header");
-  }
-  if (header[1] != "v1") {
-    // Name the version so the operator knows it is a reader/writer skew,
-    // not a corrupt file.
-    return Status::InvalidArgument("unsupported model format version '" +
-                                   header[1] + "' (this build reads v1)");
-  }
-  if (!reader.Next(&line)) return TruncatedError(reader, "'threshold <t>'");
-  auto tokens = SplitWhitespace(line);
-  double threshold = 0.5;
-  if (tokens.size() != 2 || tokens[0] != "threshold" ||
-      !ParseDouble(tokens[1], &threshold)) {
-    return ParseError(reader.line(), "expected 'threshold <t>'");
-  }
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'use_score_matrix <0|1>'");
-  }
-  tokens = SplitWhitespace(line);
-  long long use_matrix = 1;
-  if (tokens.size() != 2 || tokens[0] != "use_score_matrix" ||
-      !ParseInt64(tokens[1], &use_matrix)) {
-    return ParseError(reader.line(), "expected 'use_score_matrix <0|1>'");
-  }
-
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'p-rules <count>'");
-  }
-  auto p_rules = ParseRuleSet(&reader, schema, line, "p-rules");
-  if (!p_rules.ok()) return p_rules.status();
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'n-rules <count>'");
-  }
-  auto n_rules = ParseRuleSet(&reader, schema, line, "n-rules");
-  if (!n_rules.ok()) return n_rules.status();
-
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'scores <p> <n>' header");
-  }
-  tokens = SplitWhitespace(line);
-  long long num_p = 0;
-  long long num_n = 0;
-  if (tokens.size() != 3 || tokens[0] != "scores" ||
-      !ParseInt64(tokens[1], &num_p) || !ParseInt64(tokens[2], &num_n) ||
-      num_p != static_cast<long long>(p_rules->size()) ||
-      num_n != static_cast<long long>(n_rules->size())) {
-    return ParseError(reader.line(), "score matrix header mismatch");
-  }
-  std::vector<double> scores;
-  std::vector<double> weights;
-  scores.reserve(static_cast<size_t>(num_p * (num_n + 1)));
-  for (long long p = 0; p < num_p; ++p) {
-    if (!reader.Next(&line)) {
-      return TruncatedError(reader, "score row " + std::to_string(p + 1) +
-                                        " of " + std::to_string(num_p));
-    }
-    const auto cells = SplitWhitespace(line);
-    if (cells.size() != static_cast<size_t>(num_n + 1)) {
-      return ParseError(reader.line(), "wrong score-row arity");
-    }
-    for (const std::string& cell : cells) {
-      const auto parts = SplitString(cell, ':');
-      double score = 0.0;
-      double weight = 0.0;
-      if (parts.size() != 2 || !ParseDouble(parts[0], &score) ||
-          !ParseDouble(parts[1], &weight)) {
-        return ParseError(reader.line(), "bad score cell '" + cell + "'");
-      }
-      scores.push_back(score);
-      weights.push_back(weight);
-    }
-  }
-  if (!reader.Next(&line)) return TruncatedError(reader, "'end' marker");
-  if (line != "end") return ParseError(reader.line(), "missing 'end' marker");
-  // Anything after 'end' means the file was concatenated or corrupted;
-  // silently ignoring it would mask exactly the truncation/garbling bugs
-  // this parser exists to catch.
-  if (reader.Next(&line)) {
-    return ParseError(reader.line(), "trailing content after 'end'");
-  }
-
-  PnruleClassifier model(
-      std::move(*p_rules), std::move(*n_rules),
-      ScoreMatrix::FromValues(static_cast<size_t>(num_p),
-                              static_cast<size_t>(num_n), std::move(scores),
-                              std::move(weights)),
-      use_matrix != 0);
-  model.set_threshold(threshold);
+  LineCursor cursor(text, "model");
+  auto model = ReadPnruleModel(&cursor, schema);
+  if (!model.ok()) return model;
+  const Status finished = cursor.Finish();
+  if (!finished.ok()) return finished;
   return model;
 }
 
@@ -322,7 +181,8 @@ std::string SerializeMultiClassModel(const MultiClassPnruleClassifier& model,
   out << "pnrule-multiclass v1\n";
   out << "classes " << model.num_classes() << '\n';
   out << "default "
-      << schema.class_attr().CategoryName(model.default_class()) << '\n';
+      << EscapeName(schema.class_attr().CategoryName(model.default_class()))
+      << '\n';
   for (size_t cls = 0; cls < model.num_classes(); ++cls) {
     const double weight = model.class_weights()[cls];
     const PnruleClassifier* binary =
@@ -345,102 +205,80 @@ std::string SerializeMultiClassModel(const MultiClassPnruleClassifier& model,
 
 StatusOr<MultiClassPnruleClassifier> ParseMultiClassModel(
     const std::string& text, const Schema& schema) {
-  LineReader reader(text);
-  std::string line;
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'pnrule-multiclass v1' header");
+  LineCursor cursor(text, "multiclass model");
+  Status status = cursor.ReadHeader("pnrule-multiclass");
+  if (!status.ok()) return status;
+  uint64_t num_classes = 0;
+  status = cursor.ReadCount("classes", &num_classes);
+  if (!status.ok()) return status;
+  if (num_classes < 2) {
+    return cursor.Error("expected 'classes <n>' with n >= 2");
   }
-  auto tokens = SplitWhitespace(line);
-  if (tokens.size() != 2 || tokens[0] != "pnrule-multiclass") {
-    return ParseError(reader.line(),
-                      "missing 'pnrule-multiclass v1' header");
+  if (num_classes != schema.num_classes()) {
+    return cursor.Error("model has " + std::to_string(num_classes) +
+                        " classes but the schema has " +
+                        std::to_string(schema.num_classes()));
   }
-  if (tokens[1] != "v1") {
-    return Status::InvalidArgument(
-        "unsupported multiclass model format version '" + tokens[1] +
-        "' (this build reads v1)");
+  Fields fields;
+  if (!cursor.Next(&fields)) {
+    return cursor.Truncated("'default <class name>'");
   }
-  if (!reader.Next(&line)) return TruncatedError(reader, "'classes <n>'");
-  tokens = SplitWhitespace(line);
-  long long num_classes = 0;
-  if (tokens.size() != 2 || tokens[0] != "classes" ||
-      !ParseInt64(tokens[1], &num_classes) || num_classes < 2) {
-    return ParseError(reader.line(), "expected 'classes <n>' with n >= 2");
+  std::string default_name;
+  if (!fields.TakeKeyword("default") || !fields.TakeName(&default_name) ||
+      !fields.Exhausted()) {
+    return cursor.Error("expected 'default <class name>'");
   }
-  if (num_classes != static_cast<long long>(schema.num_classes())) {
-    return ParseError(reader.line(),
-                      "model has " + std::to_string(num_classes) +
-                          " classes but the schema has " +
-                          std::to_string(schema.num_classes()));
-  }
-  if (!reader.Next(&line)) {
-    return TruncatedError(reader, "'default <class name>'");
-  }
-  tokens = SplitWhitespace(line);
-  if (tokens.size() != 2 || tokens[0] != "default") {
-    return ParseError(reader.line(), "expected 'default <class name>'");
-  }
-  const CategoryId default_class = schema.class_attr().FindCategory(tokens[1]);
+  const CategoryId default_class =
+      schema.class_attr().FindCategory(default_name);
   if (default_class == kInvalidCategory) {
-    return Status::NotFound("model parse error at line " +
-                            std::to_string(reader.line()) +
-                            ": default class '" + tokens[1] +
-                            "' not in the schema");
+    return cursor.Error("default class '" + default_name +
+                            "' not in the schema",
+                        StatusCode::kNotFound);
   }
 
-  std::vector<std::optional<PnruleClassifier>> models(
-      static_cast<size_t>(num_classes));
-  std::vector<double> weights(static_cast<size_t>(num_classes), 1.0);
-  for (long long cls = 0; cls < num_classes; ++cls) {
-    if (!reader.Next(&line)) {
-      return TruncatedError(reader, "record for class " + std::to_string(cls));
+  std::vector<std::optional<PnruleClassifier>> models(num_classes);
+  std::vector<double> weights(num_classes, 1.0);
+  for (uint64_t cls = 0; cls < num_classes; ++cls) {
+    if (!cursor.Next(&fields)) {
+      return cursor.Truncated("record for class " + std::to_string(cls));
     }
-    tokens = SplitWhitespace(line);
-    long long index = -1;
-    double weight = 1.0;
-    if (tokens.size() < 4 || tokens[0] != "class" ||
-        !ParseInt64(tokens[1], &index) || index != cls ||
-        !ParseDouble(tokens[2], &weight)) {
-      return ParseError(reader.line(), "expected 'class " +
-                                           std::to_string(cls) +
-                                           " <weight> absent|model <lines>'");
+    uint64_t index = 0;
+    std::string_view kind;
+    if (!fields.TakeKeyword("class") || !fields.TakeUint(&index) ||
+        index != cls || !fields.TakeDouble(&weights[cls]) ||
+        !fields.Take(&kind)) {
+      return cursor.Error("expected 'class " + std::to_string(cls) +
+                          " <weight> absent|model <lines>'");
     }
-    weights[static_cast<size_t>(cls)] = weight;
-    if (tokens[3] == "absent") {
-      if (tokens.size() != 4) {
-        return ParseError(reader.line(), "trailing tokens after 'absent'");
+    if (kind == "absent") {
+      if (!fields.Exhausted()) {
+        return cursor.Error("trailing tokens after 'absent'");
       }
       continue;
     }
-    long long block_lines = 0;
-    if (tokens.size() != 5 || tokens[3] != "model" ||
-        !ParseInt64(tokens[4], &block_lines) || block_lines <= 0) {
-      return ParseError(reader.line(), "expected 'model <lines>'");
+    uint64_t block_lines = 0;
+    if (kind != "model" || !fields.TakeUint(&block_lines) ||
+        !fields.Exhausted() || block_lines == 0) {
+      return cursor.Error("expected 'model <lines>'");
     }
-    std::string block;
-    for (long long i = 0; i < block_lines; ++i) {
-      if (!reader.Next(&line)) {
-        return TruncatedError(reader, "line " + std::to_string(i + 1) +
-                                          " of " + std::to_string(block_lines) +
-                                          " of class " + std::to_string(cls) +
-                                          "'s model");
-      }
-      block += line;
-      block += '\n';
+    // The embedded block parses on this cursor, so its errors name the
+    // file's physical line and keep their status code.
+    const size_t first = cursor.records();
+    auto binary = ReadPnruleModel(&cursor, schema);
+    if (!binary.ok()) return binary.status();
+    status = cursor.ReadEnd();
+    if (!status.ok()) return status;
+    if (cursor.records() - first != block_lines) {
+      return cursor.Error("class " + std::to_string(cls) +
+                          "'s model block has " +
+                          std::to_string(cursor.records() - first) +
+                          " lines, its record says " +
+                          std::to_string(block_lines));
     }
-    auto binary = ParsePnruleModel(block, schema);
-    if (!binary.ok()) {
-      return Status::InvalidArgument("class " + std::to_string(cls) +
-                                     "'s embedded model: " +
-                                     binary.status().message());
-    }
-    models[static_cast<size_t>(cls)] = std::move(binary).value();
+    models[cls] = std::move(binary).value();
   }
-  if (!reader.Next(&line)) return TruncatedError(reader, "'end' marker");
-  if (line != "end") return ParseError(reader.line(), "missing 'end' marker");
-  if (reader.Next(&line)) {
-    return ParseError(reader.line(), "trailing content after 'end'");
-  }
+  status = cursor.Finish();
+  if (!status.ok()) return status;
   return MultiClassPnruleClassifier(std::move(models), std::move(weights),
                                     default_class);
 }

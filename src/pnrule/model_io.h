@@ -4,7 +4,8 @@
 // references attributes and classes *by name*, so a model can be loaded
 // against any dataset whose schema contains the same attributes (a
 // production deployment rarely classifies against the exact Dataset object
-// it was trained on).
+// it was trained on). Names are escaped so each is one field, and the
+// grammar and errors are those of common/line_format.h.
 //
 // Format (v1):
 //   pnrule-model v1

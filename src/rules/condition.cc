@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "common/line_format.h"
 #include "common/string_util.h"
 
 namespace pnr {
@@ -87,6 +88,80 @@ bool Condition::operator==(const Condition& other) const {
       return lo == other.lo && hi == other.hi;
   }
   return false;
+}
+
+void WriteCondition(std::ostream& out, const Condition& condition,
+                    const Schema& schema) {
+  const Attribute& attr = schema.attribute(condition.attr);
+  const std::string name = EscapeName(attr.name());
+  switch (condition.op) {
+    case ConditionOp::kCatEqual:
+      out << "cond cat " << name << ' '
+          << EscapeName(attr.CategoryName(condition.category));
+      break;
+    case ConditionOp::kLessEqual:
+      out << "cond le " << name << ' ' << condition.hi;
+      break;
+    case ConditionOp::kGreater:
+      out << "cond gt " << name << ' ' << condition.lo;
+      break;
+    case ConditionOp::kInRange:
+      out << "cond range " << name << ' ' << condition.lo << ' '
+          << condition.hi;
+      break;
+  }
+  out << '\n';
+}
+
+StatusOr<Condition> ParseCondition(Fields* fields, const LineCursor& cursor,
+                                   const Schema& schema) {
+  std::string_view kind;
+  std::string name;
+  if (!fields->TakeKeyword("cond") || !fields->Take(&kind) ||
+      !fields->TakeName(&name)) {
+    return cursor.Error("expected a condition line");
+  }
+  auto attr_or = schema.FindAttribute(name);
+  if (!attr_or.ok()) return cursor.Error("unknown attribute '" + name + "'");
+  const AttrIndex attr = *attr_or;
+  const Attribute& attribute = schema.attribute(attr);
+  Condition condition;
+  if (kind == "cat") {
+    if (!attribute.is_categorical()) {
+      return cursor.Error("'" + name + "' is not categorical");
+    }
+    std::string value;
+    if (!fields->TakeName(&value)) return cursor.Error("bad category");
+    const CategoryId category = attribute.FindCategory(value);
+    if (category == kInvalidCategory) {
+      return cursor.Error("category '" + value + "' not in attribute '" +
+                              name + "'",
+                          StatusCode::kNotFound);
+    }
+    condition = Condition::CatEqual(attr, category);
+  } else {
+    if (!attribute.is_numeric()) {
+      return cursor.Error("'" + name + "' is not numeric");
+    }
+    double a = 0.0;
+    if (!fields->TakeDouble(&a)) return cursor.Error("bad number");
+    if (kind == "le") {
+      condition = Condition::LessEqual(attr, a);
+    } else if (kind == "gt") {
+      condition = Condition::Greater(attr, a);
+    } else if (kind == "range") {
+      double b = 0.0;
+      if (!fields->TakeDouble(&b) || b < a) {
+        return cursor.Error("bad range bounds");
+      }
+      condition = Condition::InRange(attr, a, b);
+    } else {
+      return cursor.Error("unknown condition kind '" + std::string(kind) +
+                          "'");
+    }
+  }
+  if (!fields->Exhausted()) return cursor.Error("trailing fields");
+  return condition;
 }
 
 }  // namespace pnr

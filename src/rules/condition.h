@@ -8,11 +8,16 @@
 #ifndef PNR_RULES_CONDITION_H_
 #define PNR_RULES_CONDITION_H_
 
+#include <ostream>
 #include <string>
 
+#include "common/status.h"
 #include "data/dataset.h"
 
 namespace pnr {
+
+class Fields;
+class LineCursor;
 
 /// Kind of test a condition performs.
 enum class ConditionOp {
@@ -48,6 +53,18 @@ struct Condition {
   /// Structural equality (exact value comparison).
   bool operator==(const Condition& other) const;
 };
+
+/// Writes the model-file line for `condition` (attribute and category names
+/// escaped), e.g. "cond le src_bytes 3.5\n". Numbers render at `out`'s
+/// precision. Shared by the PNrule and assoc model formats.
+void WriteCondition(std::ostream& out, const Condition& condition,
+                    const Schema& schema);
+
+/// Parses the fields of a line WriteCondition wrote, resolving names
+/// against `schema`; errors are located at `cursor`'s current line, and a
+/// category the schema lacks is NotFound.
+StatusOr<Condition> ParseCondition(Fields* fields, const LineCursor& cursor,
+                                   const Schema& schema);
 
 }  // namespace pnr
 

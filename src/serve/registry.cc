@@ -6,7 +6,6 @@
 #include "assoc/model_io.h"
 #include "common/file_io.h"
 #include "data/schema_io.h"
-#include "pnrule/model_io.h"
 
 namespace pnr {
 
@@ -19,34 +18,19 @@ Status ModelRegistry::Load(const std::string& name,
                   "model '" + name + "': " + schema.status().message());
   }
   Schema schema_value = std::move(schema).value();
-  // One read, then a cheap header sniff decides the parser — both model
-  // families load through the same flag and serve through the same fleet.
+  // Both model families load through the same flag and serve through the
+  // same fleet.
   auto text = ReadFileToString(model_path);
-  if (!text.ok()) {
-    return Status(text.status().code(),
-                  "model '" + name + "': " + text.status().message());
+  StatusOr<AnyModel> model =
+      text.ok() ? ParseAnyModel(*text, schema_value) : text.status();
+  if (!model.ok()) {
+    return Status(model.status().code(),
+                  "model '" + name + "': " + model.status().message());
   }
-  std::shared_ptr<ServedModel> entry;
-  if (LooksLikeAssocModel(*text)) {
-    auto model = ParseAssocModel(*text, schema_value);
-    if (!model.ok()) {
-      return Status(model.status().code(),
-                    "model '" + name + "': " + model.status().message());
-    }
-    const size_t cars = model->rules().size();
-    entry = std::make_shared<ServedModel>(
-        name, std::move(schema_value),
-        std::make_shared<const AssocClassifier>(std::move(model).value()),
-        "assoc", cars, 0);
-  } else {
-    auto model = ParsePnruleModel(*text, schema_value);
-    if (!model.ok()) {
-      return Status(model.status().code(),
-                    "model '" + name + "': " + model.status().message());
-    }
-    entry = std::make_shared<ServedModel>(name, std::move(schema_value),
-                                          std::move(model).value());
-  }
+  AnyModel any = std::move(model).value();
+  auto entry = std::make_shared<ServedModel>(
+      name, std::move(schema_value), std::move(any.classifier), any.kind,
+      any.primary_rules, any.secondary_rules);
   std::lock_guard<std::mutex> lock(mutex_);
   InstallLocked(name, std::move(entry));
   return Status::OK();

@@ -4,19 +4,11 @@
 #include <cassert>
 #include <cmath>
 
+#include "common/line_format.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
 
 namespace pnr {
-
-namespace {
-
-Status DriftError(size_t line_number, const std::string& message) {
-  return Status::InvalidArgument(
-      "drift-state:" + std::to_string(line_number) + ": " + message);
-}
-
-}  // namespace
 
 double SmoothedPsi(const std::vector<uint64_t>& reference,
                    const std::vector<uint64_t>& window) {
@@ -284,73 +276,12 @@ std::string DriftDetector::Serialize() const {
   return out;
 }
 
-namespace {
-
-/// Tokenizer over one line: whitespace-split fields consumed in order.
-struct LineFields {
-  std::vector<std::string_view> fields;
-  size_t next = 0;
-
-  bool Take(std::string_view* out) {
-    if (next >= fields.size()) return false;
-    *out = fields[next++];
-    return true;
-  }
-  bool TakeUint(uint64_t* out) {
-    std::string_view field;
-    long long value = 0;
-    if (!Take(&field) || !ParseInt64(field, &value) || value < 0) return false;
-    *out = static_cast<uint64_t>(value);
-    return true;
-  }
-  bool TakeDouble(double* out) {
-    std::string_view field;
-    return Take(&field) && ParseDouble(field, out) && std::isfinite(*out);
-  }
-  bool Exhausted() const { return next >= fields.size(); }
-};
-
-LineFields SplitFields(std::string_view line) {
-  LineFields out;
-  size_t start = 0;
-  while (start < line.size()) {
-    const size_t end = line.find(' ', start);
-    if (end == std::string_view::npos) {
-      out.fields.push_back(line.substr(start));
-      break;
-    }
-    if (end > start) out.fields.push_back(line.substr(start, end - start));
-    start = end + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
 Status DriftDetector::Restore(const std::string& text) {
-  std::vector<std::string_view> lines;
-  {
-    size_t start = 0;
-    while (start < text.size()) {
-      size_t end = text.find('\n', start);
-      if (end == std::string_view::npos) end = text.size();
-      lines.push_back(std::string_view(text).substr(start, end - start));
-      start = end + 1;
-    }
-  }
-  size_t at = 0;
-  auto next_line = [&](std::string_view* out) {
-    if (at >= lines.size()) return false;
-    *out = lines[at++];
-    return true;
-  };
-  std::string_view line;
-  if (!next_line(&line) || line != "pnr-stream-drift v1") {
-    return DriftError(1, "expected header 'pnr-stream-drift v1'");
-  }
+  LineCursor cursor(text, "stream-drift", LineMode::kExact);
+  Status status = cursor.ReadHeader("pnr-stream-drift");
+  if (!status.ok()) return status;
 
   // Parse into a scratch copy; commit only on full success.
-  bool ready = false;
   uint64_t warmup_seen = 0;
   uint64_t consecutive = 0;
   uint64_t resets = 0;
@@ -359,185 +290,153 @@ Status DriftDetector::Restore(const std::string& text) {
   std::vector<uint64_t> score_counts;
   std::vector<uint64_t> label_counts;
 
-  if (!next_line(&line)) return DriftError(at + 1, "missing 'state' line");
-  {
-    LineFields fields = SplitFields(line);
-    std::string_view keyword;
-    std::string_view value;
-    if (!fields.Take(&keyword) || keyword != "state" || !fields.Take(&value) ||
-        !fields.Exhausted() || (value != "warmup" && value != "ready")) {
-      return DriftError(at, "expected 'state warmup|ready'");
-    }
-    ready = value == "ready";
+  Fields fields;
+  if (!cursor.Next(&fields)) return cursor.Truncated("'state' line");
+  std::string_view state;
+  if (!fields.TakeKeyword("state") || !fields.Take(&state) ||
+      !fields.Exhausted() || (state != "warmup" && state != "ready")) {
+    return cursor.Error("expected 'state warmup|ready'");
   }
-  const auto take_counter = [&](std::string_view name,
-                                uint64_t* out) -> Status {
-    if (!next_line(&line)) {
-      return DriftError(at + 1, "missing '" + std::string(name) + "' line");
+  const bool ready = state == "ready";
+  // Take exactly `size` values into `out`.
+  const auto take_counts = [&fields](std::vector<uint64_t>* out,
+                                     uint64_t size) {
+    out->resize(size);
+    for (uint64_t& count : *out) {
+      if (!fields.TakeUint(&count)) return false;
     }
-    LineFields fields = SplitFields(line);
-    std::string_view keyword;
-    if (!fields.Take(&keyword) || keyword != name || !fields.TakeUint(out) ||
-        !fields.Exhausted()) {
-      return DriftError(at, "expected '" + std::string(name) + " <n>'");
-    }
-    return Status::OK();
+    return true;
   };
-  Status status = take_counter("warmup_seen", &warmup_seen);
+  // Doubles must be finite and spelled as Serialize spells them, so an
+  // accepted blob serializes back byte-identically.
+  const auto take_doubles = [&fields](std::vector<double>* out,
+                                      uint64_t size) {
+    out->resize(size);
+    for (double& value : *out) {
+      std::string_view field;
+      if (!fields.Take(&field) || !ParseDouble(field, &value) ||
+          !std::isfinite(value) || FormatDouble(value, 17) != field) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  status = cursor.ReadCount("warmup_seen", &warmup_seen);
   if (!status.ok()) return status;
-  status = take_counter("consecutive", &consecutive);
-  if (!status.ok()) return status;
-  status = take_counter("resets", &resets);
-  if (!status.ok()) return status;
-  uint64_t attr_count = 0;
-  status = take_counter("attrs", &attr_count);
-  if (!status.ok()) return status;
-  if (attr_count != schema_->num_attributes()) {
-    return DriftError(at, "blob has " + std::to_string(attr_count) +
-                              " attributes, schema has " +
-                              std::to_string(schema_->num_attributes()));
-  }
   if (ready ? warmup_seen < options_.reference_windows
             : warmup_seen >= options_.reference_windows) {
-    return DriftError(3, "warmup_seen inconsistent with state");
+    return cursor.Error("warmup_seen inconsistent with state");
   }
+  status = cursor.ReadCount("consecutive", &consecutive);
+  if (!status.ok()) return status;
   if (!ready && consecutive != 0) {
-    return DriftError(4, "consecutive must be 0 during warmup");
+    return cursor.Error("consecutive must be 0 during warmup");
+  }
+  status = cursor.ReadCount("resets", &resets);
+  if (!status.ok()) return status;
+  uint64_t attr_count = 0;
+  status = cursor.ReadCount("attrs", &attr_count);
+  if (!status.ok()) return status;
+  if (attr_count != schema_->num_attributes()) {
+    return cursor.Error("blob has " + std::to_string(attr_count) +
+                        " attributes, schema has " +
+                        std::to_string(schema_->num_attributes()));
   }
 
   for (size_t a = 0; a < schema_->num_attributes(); ++a) {
     const Attribute& attribute = schema_->attribute(static_cast<AttrIndex>(a));
-    if (!next_line(&line)) {
-      return DriftError(at + 1, "missing 'attr " + std::to_string(a) + "'");
+    if (!cursor.Next(&fields)) {
+      return cursor.Truncated("'attr " + std::to_string(a) + "'");
     }
-    LineFields fields = SplitFields(line);
-    std::string_view keyword;
     uint64_t index = 0;
     std::string_view kind;
-    if (!fields.Take(&keyword) || keyword != "attr" ||
-        !fields.TakeUint(&index) || index != a || !fields.Take(&kind)) {
-      return DriftError(at, "expected 'attr " + std::to_string(a) + " ...'");
+    if (!fields.TakeKeyword("attr") || !fields.TakeUint(&index) ||
+        index != a || !fields.Take(&kind)) {
+      return cursor.Error("expected 'attr " + std::to_string(a) + " ...'");
     }
+    uint64_t size = 0;
     if (attribute.is_numeric()) {
       if (kind != "numeric") {
-        return DriftError(at, "attribute " + std::to_string(a) +
-                                  " is numeric in the schema");
+        return cursor.Error("attribute " + std::to_string(a) +
+                            " is numeric in the schema");
       }
-      NumericState& state = numeric[a];
-      std::string_view section;
-      uint64_t size = 0;
-      if (!fields.Take(&section) || !fields.TakeUint(&size)) {
-        return DriftError(at, "malformed numeric section");
-      }
+      NumericState& numeric_state = numeric[a];
       if (ready) {
-        if (section != "edges" || size != options_.numeric_bins - 1) {
-          return DriftError(at, "expected 'edges " +
-                                    std::to_string(options_.numeric_bins - 1) +
-                                    "'");
+        const uint64_t edges = options_.numeric_bins - 1;
+        if (!fields.TakeKeyword("edges") || !fields.TakeUint(&size) ||
+            size != edges) {
+          return cursor.Error("expected 'edges " + std::to_string(edges) +
+                              "'");
         }
-        state.edges.resize(size);
-        for (double& edge : state.edges) {
-          if (!fields.TakeDouble(&edge)) {
-            return DriftError(at, "bad edge value");
-          }
+        if (!take_doubles(&numeric_state.edges, size)) {
+          return cursor.Error("bad edge value");
         }
-        if (!std::is_sorted(state.edges.begin(), state.edges.end())) {
-          return DriftError(at, "edges must be ascending");
+        if (!std::is_sorted(numeric_state.edges.begin(),
+                            numeric_state.edges.end())) {
+          return cursor.Error("edges must be ascending");
         }
-        uint64_t bins = 0;
-        if (!fields.Take(&section) || section != "counts" ||
-            !fields.TakeUint(&bins) || bins != options_.numeric_bins) {
-          return DriftError(at, "expected 'counts " +
-                                    std::to_string(options_.numeric_bins) +
-                                    "'");
+        if (!fields.TakeKeyword("counts") || !fields.TakeUint(&size) ||
+            size != options_.numeric_bins) {
+          return cursor.Error("expected 'counts " +
+                              std::to_string(options_.numeric_bins) + "'");
         }
-        state.counts.resize(bins);
-        for (uint64_t& count : state.counts) {
-          if (!fields.TakeUint(&count)) {
-            return DriftError(at, "bad bin count");
-          }
+        if (!take_counts(&numeric_state.counts, size)) {
+          return cursor.Error("bad bin count");
         }
       } else {
-        if (section != "sample" || size > options_.max_reference_values) {
-          return DriftError(at, "expected 'sample <k>' with k <= " +
-                                    std::to_string(
-                                        options_.max_reference_values));
+        if (!fields.TakeKeyword("sample") || !fields.TakeUint(&size) ||
+            size > options_.max_reference_values) {
+          return cursor.Error(
+              "expected 'sample <k>' with k <= " +
+              std::to_string(options_.max_reference_values));
         }
-        state.sample.resize(size);
-        for (double& value : state.sample) {
-          if (!fields.TakeDouble(&value)) {
-            return DriftError(at, "bad sample value");
-          }
+        if (!take_doubles(&numeric_state.sample, size)) {
+          return cursor.Error("bad sample value");
         }
       }
     } else {
-      std::string_view section;
-      uint64_t size = 0;
       const size_t expected = attribute.num_categories() + 1;
-      if (kind != "cat" || !fields.Take(&section) || section != "counts" ||
+      if (kind != "cat" || !fields.TakeKeyword("counts") ||
           !fields.TakeUint(&size) || size != expected) {
-        return DriftError(at, "expected 'cat counts " +
-                                  std::to_string(expected) + "'");
+        return cursor.Error("expected 'cat counts " +
+                            std::to_string(expected) + "'");
       }
-      CategoricalState& state = categorical[a];
-      state.counts.resize(size);
-      for (uint64_t& count : state.counts) {
-        if (!fields.TakeUint(&count)) {
-          return DriftError(at, "bad category count");
-        }
+      if (!take_counts(&categorical[a].counts, size)) {
+        return cursor.Error("bad category count");
       }
     }
     if (!fields.Exhausted()) {
-      return DriftError(at, "trailing fields on attr line");
+      return cursor.Error("trailing fields on attr line");
     }
   }
 
-  if (!next_line(&line)) return DriftError(at + 1, "missing 'score' line");
-  {
-    LineFields fields = SplitFields(line);
-    std::string_view keyword;
-    std::string_view section;
+  // "<name> counts <size> <count>..." with a fixed size.
+  const auto read_histogram = [&](const char* name, uint64_t expected,
+                                  std::vector<uint64_t>* out) -> Status {
+    const std::string shape = "'" + std::string(name) + " counts " +
+                              std::to_string(expected) + "'";
+    if (!cursor.Next(&fields)) return cursor.Truncated(shape);
     uint64_t size = 0;
-    if (!fields.Take(&keyword) || keyword != "score" ||
-        !fields.Take(&section) || section != "counts" ||
-        !fields.TakeUint(&size) || size != kStreamScoreBins) {
-      return DriftError(at, "expected 'score counts " +
-                                std::to_string(kStreamScoreBins) + "'");
+    if (!fields.TakeKeyword(name) || !fields.TakeKeyword("counts") ||
+        !fields.TakeUint(&size) || size != expected) {
+      return cursor.Error("expected " + shape);
     }
-    score_counts.resize(size);
-    for (uint64_t& count : score_counts) {
-      if (!fields.TakeUint(&count)) return DriftError(at, "bad score count");
+    if (!take_counts(out, size)) {
+      return cursor.Error("bad " + std::string(name) + " count");
     }
     if (!fields.Exhausted()) {
-      return DriftError(at, "trailing fields on score line");
+      return cursor.Error("trailing fields on " + std::string(name) +
+                          " line");
     }
-  }
-  if (!next_line(&line)) return DriftError(at + 1, "missing 'label' line");
-  {
-    LineFields fields = SplitFields(line);
-    std::string_view keyword;
-    std::string_view section;
-    uint64_t size = 0;
-    if (!fields.Take(&keyword) || keyword != "label" ||
-        !fields.Take(&section) || section != "counts" ||
-        !fields.TakeUint(&size) || size != 2) {
-      return DriftError(at, "expected 'label counts 2'");
-    }
-    label_counts.resize(size);
-    for (uint64_t& count : label_counts) {
-      if (!fields.TakeUint(&count)) return DriftError(at, "bad label count");
-    }
-    if (!fields.Exhausted()) {
-      return DriftError(at, "trailing fields on label line");
-    }
-  }
-  if (!next_line(&line) || line != "end") {
-    return DriftError(at + (at < lines.size() ? 0 : 1),
-                      "expected 'end' terminator");
-  }
-  if (at != lines.size()) {
-    return DriftError(at + 1, "trailing content after 'end'");
-  }
+    return Status::OK();
+  };
+  status = read_histogram("score", kStreamScoreBins, &score_counts);
+  if (!status.ok()) return status;
+  status = read_histogram("label", 2, &label_counts);
+  if (!status.ok()) return status;
+  status = cursor.Finish();
+  if (!status.ok()) return status;
 
   ready_ = ready;
   warmup_seen_ = warmup_seen;

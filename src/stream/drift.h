@@ -112,7 +112,8 @@ class DriftDetector {
   /// Replaces this detector's state from a v1 blob. The blob must agree
   /// with the schema and options the detector was constructed with;
   /// malformed or inconsistent input fails with a located error
-  /// ("drift-state:<line>: ...") and leaves the detector unchanged.
+  /// ("stream-drift parse error at line N: ...", common/line_format.h) and
+  /// leaves the detector unchanged.
   Status Restore(const std::string& text);
 
  private:

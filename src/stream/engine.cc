@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/file_io.h"
+#include "common/line_format.h"
 #include "common/string_util.h"
 #include "eval/batch.h"
 
@@ -339,99 +340,42 @@ std::string SerializeStreamCheckpoint(const StreamCheckpoint& checkpoint) {
   return out;
 }
 
-namespace {
-
-Status CheckpointError(size_t line_number, const std::string& message) {
-  return Status::InvalidArgument("stream-checkpoint:" +
-                                 std::to_string(line_number) + ": " + message);
-}
-
-/// Strict counter field: the canonical rendering of the parsed value must
-/// reproduce the input token, so accepted checkpoints serialize back
-/// byte-identically (no leading zeros, no '+').
-bool ParseStrictUint(std::string_view token, uint64_t* out) {
-  long long value = 0;
-  if (!ParseInt64(token, &value) || value < 0) return false;
-  if (std::to_string(value) != token) return false;
-  *out = static_cast<uint64_t>(value);
-  return true;
-}
-
-}  // namespace
-
 StatusOr<StreamCheckpoint> ParseStreamCheckpoint(const std::string& text) {
-  if (text.empty() || text.back() != '\n') {
-    return CheckpointError(1, "checkpoint must end with a newline");
-  }
-  std::vector<std::string_view> lines;
-  {
-    size_t start = 0;
-    const std::string_view view(text);
-    while (start < view.size()) {
-      const size_t end = view.find('\n', start);
-      lines.push_back(view.substr(start, end - start));
-      start = end + 1;
-    }
-  }
-  size_t at = 0;
-  auto next_line = [&](std::string_view* out) {
-    if (at >= lines.size()) return false;
-    *out = lines[at++];
-    return true;
-  };
-  std::string_view line;
-  if (!next_line(&line) || line != "pnr-stream-checkpoint v1") {
-    return CheckpointError(1, "expected header 'pnr-stream-checkpoint v1'");
-  }
+  LineCursor cursor(text, "stream-checkpoint", LineMode::kExact);
+  Status status = cursor.ReadHeader("pnr-stream-checkpoint");
+  if (!status.ok()) return status;
   StreamCheckpoint checkpoint;
-  const auto take_counter = [&](std::string_view name,
-                                uint64_t* out) -> Status {
-    if (!next_line(&line)) {
-      return CheckpointError(at + 1,
-                             "missing '" + std::string(name) + "' line");
-    }
-    const std::string prefix = std::string(name) + " ";
-    if (line.substr(0, prefix.size()) != prefix ||
-        !ParseStrictUint(line.substr(prefix.size()), out)) {
-      return CheckpointError(at, "expected '" + std::string(name) + " <n>'");
-    }
-    return Status::OK();
-  };
-  Status status = take_counter("windows", &checkpoint.windows);
-  if (!status.ok()) return status;
-  status = take_counter("rows", &checkpoint.rows);
-  if (!status.ok()) return status;
-  status = take_counter("swaps", &checkpoint.swaps);
-  if (!status.ok()) return status;
-  status = take_counter("model_version", &checkpoint.model_version);
-  if (!status.ok()) return status;
+  for (const auto& [name, out] :
+       {std::pair{"windows", &checkpoint.windows},
+        std::pair{"rows", &checkpoint.rows},
+        std::pair{"swaps", &checkpoint.swaps},
+        std::pair{"model_version", &checkpoint.model_version}}) {
+    status = cursor.ReadCount(name, out);
+    if (!status.ok()) return status;
+  }
   if (checkpoint.model_version == 0) {
-    return CheckpointError(at, "model_version must be >= 1");
+    return cursor.Error("model_version must be >= 1");
   }
-  if (!next_line(&line) || line.substr(0, 6) != "model " ||
-      line.size() == 6) {
-    return CheckpointError(at == 0 ? 1 : at, "expected 'model <path>'");
+  Fields fields;
+  if (!cursor.Next(&fields)) return cursor.Truncated("'model <path>'");
+  if (fields.TakeKeyword("model")) checkpoint.model_path = fields.Rest();
+  if (checkpoint.model_path.empty()) {
+    return cursor.Error("expected 'model <path>'");
   }
-  checkpoint.model_path = std::string(line.substr(6));
   uint64_t blob_lines = 0;
-  status = take_counter("drift", &blob_lines);
+  status = cursor.ReadCount("drift", &blob_lines);
   if (!status.ok()) return status;
-  checkpoint.drift_blob.clear();
   for (uint64_t i = 0; i < blob_lines; ++i) {
-    if (!next_line(&line)) {
-      return CheckpointError(at + 1, "drift blob truncated (expected " +
-                                         std::to_string(blob_lines) +
-                                         " lines)");
+    std::string_view line;
+    if (!cursor.Next(&line)) {
+      return cursor.Truncated("drift blob line " + std::to_string(i + 1) +
+                              " of " + std::to_string(blob_lines));
     }
     checkpoint.drift_blob.append(line);
     checkpoint.drift_blob.push_back('\n');
   }
-  if (!next_line(&line) || line != "end") {
-    return CheckpointError(at == 0 ? 1 : at, "expected 'end' terminator");
-  }
-  if (at != lines.size()) {
-    return CheckpointError(at + 1, "trailing content after 'end'");
-  }
+  status = cursor.Finish();
+  if (!status.ok()) return status;
   return checkpoint;
 }
 

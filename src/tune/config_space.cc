@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/line_format.h"
 #include "common/string_util.h"
 
 namespace pnr {
@@ -12,11 +13,6 @@ struct ParsedLine {
   std::string key;
   std::vector<std::string> values;
 };
-
-Status LineError(size_t line_no, const std::string& message) {
-  return Status::InvalidArgument("tune config line " +
-                                 std::to_string(line_no) + ": " + message);
-}
 
 // Splits the value list on commas and whitespace; never yields empties.
 std::vector<std::string> SplitValues(std::string_view text) {
@@ -34,43 +30,43 @@ std::vector<std::string> SplitValues(std::string_view text) {
   return values;
 }
 
-Status ParseDoubles(const ParsedLine& line, size_t line_no, double lo,
-                    double hi, bool lo_exclusive, std::vector<double>* out) {
+Status ParseDoubles(const ParsedLine& line, const LineCursor& cursor,
+                    double lo, double hi, bool lo_exclusive,
+                    std::vector<double>* out) {
   out->clear();
   for (const std::string& token : line.values) {
     double value = 0.0;
     if (!ParseDouble(token, &value)) {
-      return LineError(line_no, "invalid number '" + token + "' for key '" +
-                                    line.key + "'");
+      return cursor.Error("invalid number '" + token + "' for key '" +
+                          line.key + "'");
     }
     const bool below = lo_exclusive ? value <= lo : value < lo;
     if (below || value > hi) {
-      return LineError(line_no, "value " + token + " for key '" + line.key +
-                                    "' is outside " +
-                                    (lo_exclusive ? "(" : "[") +
-                                    FormatDouble(lo, 2) + ", " +
-                                    FormatDouble(hi, 2) + "]");
+      return cursor.Error("value " + token + " for key '" + line.key +
+                          "' is outside " + (lo_exclusive ? "(" : "[") +
+                          FormatDouble(lo, 2) + ", " + FormatDouble(hi, 2) +
+                          "]");
     }
     out->push_back(value);
   }
   return Status::OK();
 }
 
-Status ParseLengths(const ParsedLine& line, size_t line_no,
+Status ParseLengths(const ParsedLine& line, const LineCursor& cursor,
                     std::vector<size_t>* out) {
   out->clear();
   for (const std::string& token : line.values) {
     long long value = 0;
     if (!ParseInt64(token, &value) || value < 0 || value > 64) {
-      return LineError(line_no, "value '" + token + "' for key '" + line.key +
-                                    "' must be an integer in [0, 64]");
+      return cursor.Error("value '" + token + "' for key '" + line.key +
+                          "' must be an integer in [0, 64]");
     }
     out->push_back(static_cast<size_t>(value));
   }
   return Status::OK();
 }
 
-Status ParseMetrics(const ParsedLine& line, size_t line_no,
+Status ParseMetrics(const ParsedLine& line, const LineCursor& cursor,
                     std::vector<RuleMetricKind>* out) {
   static constexpr RuleMetricKind kKinds[] = {
       RuleMetricKind::kZNumber, RuleMetricKind::kInfoGain,
@@ -87,15 +83,15 @@ Status ParseMetrics(const ParsedLine& line, size_t line_no,
       }
     }
     if (!found) {
-      return LineError(line_no, "unknown metric '" + token +
-                                    "' (valid: z-number info-gain "
-                                    "gain-ratio gini chi-squared)");
+      return cursor.Error("unknown metric '" + token +
+                          "' (valid: z-number info-gain "
+                          "gain-ratio gini chi-squared)");
     }
   }
   return Status::OK();
 }
 
-Status ParseAlgorithms(const ParsedLine& line, size_t line_no,
+Status ParseAlgorithms(const ParsedLine& line, const LineCursor& cursor,
                        std::vector<TuneAlgorithm>* out) {
   out->clear();
   for (const std::string& token : line.values) {
@@ -105,21 +101,15 @@ Status ParseAlgorithms(const ParsedLine& line, size_t line_no,
     } else if (token == "cba") {
       algorithm = TuneAlgorithm::kCba;
     } else {
-      return LineError(line_no, "unknown algorithm '" + token +
-                                    "' (valid: pnrule cba)");
+      return cursor.Error("unknown algorithm '" + token +
+                          "' (valid: pnrule cba)");
     }
     if (std::find(out->begin(), out->end(), algorithm) != out->end()) {
-      return LineError(line_no, "duplicate algorithm '" + token + "'");
+      return cursor.Error("duplicate algorithm '" + token + "'");
     }
     out->push_back(algorithm);
   }
   return Status::OK();
-}
-
-std::string TrimComment(std::string_view line) {
-  const size_t hash = line.find('#');
-  if (hash != std::string_view::npos) line = line.substr(0, hash);
-  return std::string(TrimWhitespace(line));
 }
 
 }  // namespace
@@ -157,92 +147,80 @@ std::string TrialConfig::Describe() const {
 StatusOr<ConfigSpace> ConfigSpace::Parse(std::string_view text) {
   ConfigSpace space;
   std::vector<std::string> seen_keys;
-  size_t line_no = 0;
-  size_t parsed_keys = 0;
-  while (!text.empty()) {
-    ++line_no;
-    const size_t newline = text.find('\n');
-    const std::string_view raw =
-        newline == std::string_view::npos ? text : text.substr(0, newline);
-    text = newline == std::string_view::npos ? std::string_view()
-                                             : text.substr(newline + 1);
-
-    const std::string stripped = TrimComment(raw);
+  LineCursor cursor(text, "tune config");
+  std::string_view stripped;
+  while (cursor.Next(&stripped)) {
+    stripped = TrimWhitespace(stripped.substr(0, stripped.find('#')));
     if (stripped.empty()) continue;
     const size_t eq = stripped.find('=');
     if (eq == std::string::npos) {
-      return LineError(line_no, "expected 'key = value, value, ...', got '" +
-                                    stripped + "'");
+      return cursor.Error("expected 'key = value, value, ...', got '" +
+                          std::string(stripped) + "'");
     }
     ParsedLine line;
     line.key = std::string(TrimWhitespace(stripped.substr(0, eq)));
     line.values = SplitValues(stripped.substr(eq + 1));
-    if (line.key.empty()) return LineError(line_no, "missing key before '='");
+    if (line.key.empty()) return cursor.Error("missing key before '='");
     if (std::find(seen_keys.begin(), seen_keys.end(), line.key) !=
         seen_keys.end()) {
-      return LineError(line_no, "duplicate key '" + line.key + "'");
+      return cursor.Error("duplicate key '" + line.key + "'");
     }
     seen_keys.push_back(line.key);
     if (line.values.empty()) {
-      return LineError(line_no, "empty grid for key '" + line.key + "'");
+      return cursor.Error("empty grid for key '" + line.key + "'");
     }
 
     Status status;
     if (line.key == "rp") {
-      status = ParseDoubles(line, line_no, 0.0, 1.0, /*lo_exclusive=*/true,
+      status = ParseDoubles(line, cursor, 0.0, 1.0, /*lo_exclusive=*/true,
                             &space.rp_);
     } else if (line.key == "rn") {
-      status = ParseDoubles(line, line_no, 0.0, 1.0, /*lo_exclusive=*/false,
+      status = ParseDoubles(line, cursor, 0.0, 1.0, /*lo_exclusive=*/false,
                             &space.rn_);
     } else if (line.key == "min_support") {
-      status = ParseDoubles(line, line_no, 0.0, 1.0, /*lo_exclusive=*/false,
+      status = ParseDoubles(line, cursor, 0.0, 1.0, /*lo_exclusive=*/false,
                             &space.min_support_);
     } else if (line.key == "threshold") {
-      status = ParseDoubles(line, line_no, 0.0, 1.0, /*lo_exclusive=*/false,
+      status = ParseDoubles(line, cursor, 0.0, 1.0, /*lo_exclusive=*/false,
                             &space.threshold_);
     } else if (line.key == "max_p_len") {
-      status = ParseLengths(line, line_no, &space.max_p_len_);
+      status = ParseLengths(line, cursor, &space.max_p_len_);
     } else if (line.key == "metric") {
-      status = ParseMetrics(line, line_no, &space.metric_);
+      status = ParseMetrics(line, cursor, &space.metric_);
     } else if (line.key == "algorithm") {
-      status = ParseAlgorithms(line, line_no, &space.algorithm_);
+      status = ParseAlgorithms(line, cursor, &space.algorithm_);
     } else if (line.key == "cba_support") {
-      status = ParseDoubles(line, line_no, 0.0, 1.0, /*lo_exclusive=*/true,
+      status = ParseDoubles(line, cursor, 0.0, 1.0, /*lo_exclusive=*/true,
                             &space.cba_support_);
     } else if (line.key == "cba_class_support") {
-      status = ParseDoubles(line, line_no, 0.0, 1.0, /*lo_exclusive=*/false,
+      status = ParseDoubles(line, cursor, 0.0, 1.0, /*lo_exclusive=*/false,
                             &space.cba_class_support_);
     } else if (line.key == "cba_conf") {
-      status = ParseDoubles(line, line_no, 0.0, 1.0, /*lo_exclusive=*/false,
+      status = ParseDoubles(line, cursor, 0.0, 1.0, /*lo_exclusive=*/false,
                             &space.cba_conf_);
     } else if (line.key == "cba_len") {
-      status = ParseLengths(line, line_no, &space.cba_len_);
+      status = ParseLengths(line, cursor, &space.cba_len_);
       if (status.ok()) {
         for (size_t len : space.cba_len_) {
           if (len == 0) {
-            status = LineError(line_no, "cba_len values must be >= 1");
+            status = cursor.Error("cba_len values must be >= 1");
             break;
           }
         }
       }
     } else {
-      return LineError(line_no, "unknown key '" + line.key +
-                                    "' (valid: rp rn min_support max_p_len "
-                                    "metric threshold algorithm cba_support "
-                                    "cba_class_support cba_conf cba_len)");
+      return cursor.Error("unknown key '" + line.key +
+                          "' (valid: rp rn min_support max_p_len "
+                          "metric threshold algorithm cba_support "
+                          "cba_class_support cba_conf cba_len)");
     }
     if (!status.ok()) return status;
-    ++parsed_keys;
   }
-  if (parsed_keys == 0) {
-    return Status::InvalidArgument(
-        "tune config: no parameter lines found (expected 'key = values')");
-  }
+  if (seen_keys.empty()) return cursor.Truncated("a 'key = values' line");
   if (space.size() > kMaxConfigs) {
-    return Status::InvalidArgument(
-        "tune config: grid has " + std::to_string(space.size()) +
-        " configurations, more than the maximum " +
-        std::to_string(kMaxConfigs));
+    return cursor.Error("grid has " + std::to_string(space.size()) +
+                        " configurations, more than the maximum " +
+                        std::to_string(kMaxConfigs));
   }
   return space;
 }

@@ -75,7 +75,7 @@ class ConfigSpace {
   static constexpr size_t kMaxConfigs = 4096;
 
   /// Parses a config-file's contents. Errors name the offending line
-  /// ("tune config line 3: unknown key 'foo'").
+  /// ("tune config parse error at line 3: unknown key 'foo'").
   static StatusOr<ConfigSpace> Parse(std::string_view text);
 
   /// The built-in grid raced by the flagship sweep:

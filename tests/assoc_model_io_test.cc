@@ -125,10 +125,26 @@ TEST(AssocModelIoTest, ParsedModelScoresLikeTheOriginal) {
 TEST(AssocModelIoTest, SniffRecognizesTheHeader) {
   const Schema schema = TestSchema();
   const std::string text = SerializeAssocModel(TestModel(schema), schema);
-  EXPECT_TRUE(LooksLikeAssocModel(text));
-  EXPECT_TRUE(LooksLikeAssocModel("\n  \n" + text));  // leading whitespace ok
-  EXPECT_FALSE(LooksLikeAssocModel("pnr-model v3\n"));  // the PNrule header
-  EXPECT_FALSE(LooksLikeAssocModel(""));
+  auto any = ParseAnyModel(text, schema);
+  ASSERT_TRUE(any.ok()) << any.status().ToString();
+  EXPECT_EQ(any->kind, "assoc");
+  EXPECT_EQ(any->primary_rules, 2u);
+  any = ParseAnyModel("\n  \n" + text, schema);  // leading whitespace ok
+  ASSERT_TRUE(any.ok()) << any.status().ToString();
+  EXPECT_EQ(any->kind, "assoc");
+  // Any other header goes to the PNrule parser, which names its header.
+  any = ParseAnyModel("pnr-model v3\n", schema);
+  ASSERT_FALSE(any.ok());
+  EXPECT_NE(any.status().message().find(
+                "line 1: missing 'pnrule-model v1' header"),
+            std::string::npos)
+      << any.status().ToString();
+  any = ParseAnyModel("", schema);
+  ASSERT_FALSE(any.ok());
+  EXPECT_NE(any.status().message().find(
+                "after line 0: expected 'pnrule-model v1' header"),
+            std::string::npos)
+      << any.status().ToString();
 }
 
 TEST(AssocModelIoTest, VersionSkewIsNamed) {

@@ -1,18 +1,26 @@
-// Truncation hardening for the two text formats that persist state:
-// pnrule models (pnrule/model_io.h) and schemas (data/schema_io.h). A file
-// lopped at any byte — a torn copy, a full disk, a killed writer — must
-// produce a located error naming the line and the token the parser was
-// still expecting, or (only when the cut lands exactly at the end of the
-// final record) parse to the identical document. Silent prefix-acceptance
-// is the failure mode these sweeps exist to rule out.
+// Truncation hardening for the six text formats that persist state
+// (common/line_format.h): pnrule and multiclass models, assoc models,
+// schemas, stream checkpoints with their drift blobs, and tune grids. A
+// file lopped at any byte — a torn copy, a full disk, a killed writer —
+// must produce a located error naming the line and the token the parser
+// was still expecting, or (only when the cut lands exactly at the end of
+// the final record) parse to the identical document. Silent
+// prefix-acceptance is the failure mode these sweeps exist to rule out.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
+#include <vector>
 
+#include "assoc/model_io.h"
+#include "common/line_format.h"
 #include "data/schema_io.h"
 #include "pnrule/model_io.h"
+#include "stream/drift.h"
+#include "stream/engine.h"
+#include "tune/config_space.h"
 
 namespace pnr {
 namespace {
@@ -46,41 +54,170 @@ const char kModelText[] =
     "0.6:4 0.2:2\n"
     "end\n";
 
-// Every rejection must carry a location: a line number for content and
-// truncation errors, or the version token for reader/writer skew.
-void ExpectLocated(const Status& status, const std::string& context) {
-  EXPECT_FALSE(status.ok()) << context;
-  const std::string text = status.ToString();
-  EXPECT_TRUE(text.find("line") != std::string::npos ||
-              text.find("version") != std::string::npos)
-      << context << ": unlocated error '" << text << "'";
+const char kAssocText[] =
+    "pnr-assoc-model v1\n"
+    "target pos\n"
+    "default neg 0.25\n"
+    "threshold 0.5\n"
+    "rules 1\n"
+    "rule 2 pos 20 10 0.5 2 0.5\n"
+    "cond le a 3.5\n"
+    "cond cat color red\n"
+    "end\n";
+
+const char kTuneText[] =
+    "# grid\n"
+    "rp = 0.95, 0.99\n"
+    "rn = 0.7\n"
+    "threshold = 0.5\n";
+
+std::string MultiClassText() {
+  return "pnrule-multiclass v1\nclasses 2\ndefault neg\nclass 0 1 absent\n"
+         "class 1 0.5 model 16\n" +
+         std::string(kModelText) + "end\n";
 }
 
-TEST(ModelTruncationTest, EveryBytePrefixIsLocatedErrorOrExactDocument) {
-  const Schema schema = HarnessSchema();
-  auto full = ParsePnruleModel(kModelText, schema);
-  ASSERT_TRUE(full.ok()) << full.status().ToString();
-  const std::string canonical = SerializePnruleModel(*full, schema);
+std::string CheckpointText() {
+  StreamCheckpoint checkpoint;
+  checkpoint.windows = 3;
+  checkpoint.rows = 1500;
+  checkpoint.swaps = 1;
+  checkpoint.model_version = 2;
+  checkpoint.model_path = "out/model_w3.txt";
+  checkpoint.drift_blob = "pnr-stream-drift v1\nstate warmup\n";
+  return SerializeStreamCheckpoint(checkpoint);
+}
 
-  const std::string text(kModelText);
-  size_t accepted = 0;
-  for (size_t cut = 0; cut < text.size(); ++cut) {
-    const std::string prefix = text.substr(0, cut);
-    auto parsed = ParsePnruleModel(prefix, schema);
-    if (parsed.ok()) {
+// A warmup-state blob holding one observed window's samples and counts.
+std::string DriftText(const Schema& schema) {
+  Dataset dataset(schema);
+  std::vector<RowId> rows;
+  std::vector<double> scores;
+  for (int i = 0; i < 4; ++i) {
+    const RowId row = dataset.AddRow();
+    dataset.set_numeric(row, 0, 0.5 * i);
+    dataset.set_numeric(row, 1, 1.0 - 0.25 * i);
+    dataset.set_categorical(row, 2, i % 3);
+    dataset.set_label(row, i % 2);
+    rows.push_back(row);
+    scores.push_back(0.25 * i);
+  }
+  DriftDetector detector(&schema, DriftOptions());
+  detector.Observe(dataset, rows.data(), rows.size(), scores.data(), 1);
+  return detector.Serialize();
+}
+
+using Render = std::function<StatusOr<std::string>(const std::string&)>;
+
+// Parses with `parse` and renders what it accepted with `write`.
+template <typename Parse, typename Write>
+Render ParseThenWrite(Parse parse, Write write) {
+  return [parse, write](const std::string& text) -> StatusOr<std::string> {
+    auto parsed = parse(text);
+    if (!parsed.ok()) return parsed.status();
+    return write(*parsed);
+  };
+}
+
+// One format under the sweep: its document, a parser that renders what it
+// accepted back to canonical text, and how many proper prefixes may parse
+// (1 where the final line may lack its '\n', 0 for the exact-bytes
+// formats, -1 for the tune grid, which has no end marker: a cut at a line
+// boundary is a shorter grid, so only its rejections are checked).
+struct Format {
+  std::string name;
+  std::string text;
+  Render render;
+  int accepted_prefixes;
+};
+
+std::vector<Format> AllFormats(const Schema& schema) {
+  const Schema* s = &schema;
+  const Render drift = [s](const std::string& text) -> StatusOr<std::string> {
+    DriftDetector detector(s, DriftOptions());
+    const Status restored = detector.Restore(text);
+    if (!restored.ok()) return restored;
+    return detector.Serialize();
+  };
+  const auto grid = [](const ConfigSpace& space) {
+    std::string out;
+    for (const TrialConfig& trial : space.Enumerate(PnruleConfig{})) {
+      out += trial.Describe() + "\n";
+    }
+    return out;
+  };
+  return {
+      {"model", kModelText,
+       ParseThenWrite(
+           [s](const std::string& t) { return ParsePnruleModel(t, *s); },
+           [s](const PnruleClassifier& m) {
+             return SerializePnruleModel(m, *s);
+           }),
+       1},
+      {"multiclass model", MultiClassText(),
+       ParseThenWrite(
+           [s](const std::string& t) { return ParseMultiClassModel(t, *s); },
+           [s](const MultiClassPnruleClassifier& m) {
+             return SerializeMultiClassModel(m, *s);
+           }),
+       1},
+      {"assoc model", kAssocText,
+       ParseThenWrite(
+           [s](const std::string& t) { return ParseAssocModel(t, *s); },
+           [s](const AssocClassifier& m) {
+             return SerializeAssocModel(m, *s);
+           }),
+       1},
+      {"schema", SerializeSchema(schema),
+       ParseThenWrite([](const std::string& t) { return ParseSchema(t); },
+                      [](const Schema& parsed) {
+                        return SerializeSchema(parsed);
+                      }),
+       1},
+      {"stream checkpoint", CheckpointText(),
+       ParseThenWrite(
+           [](const std::string& t) { return ParseStreamCheckpoint(t); },
+           [](const StreamCheckpoint& c) {
+             return SerializeStreamCheckpoint(c);
+           }),
+       0},
+      {"drift blob", DriftText(schema), drift, 0},
+      {"tune config", kTuneText,
+       ParseThenWrite(
+           [](const std::string& t) { return ConfigSpace::Parse(t); }, grid),
+       -1},
+  };
+}
+
+TEST(TruncationSweepTest, EveryBytePrefixIsLocatedErrorOrExactDocument) {
+  const Schema schema = HarnessSchema();
+  for (const Format& format : AllFormats(schema)) {
+    SCOPED_TRACE(format.name);
+    auto full = format.render(format.text);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    int accepted = 0;
+    for (size_t cut = 0; cut < format.text.size(); ++cut) {
+      const std::string context =
+          format.name + " prefix of " + std::to_string(cut) + " bytes";
+      auto parsed = format.render(format.text.substr(0, cut));
+      if (!parsed.ok()) {
+        EXPECT_TRUE(IsLocatedParseError(parsed.status().message()))
+            << context << ": unlocated error '" << parsed.status().ToString()
+            << "'";
+        continue;
+      }
+      ++accepted;
       // Only a cut that preserves the complete final record may parse —
       // and then it must mean exactly what the full document means.
-      ++accepted;
-      EXPECT_EQ(SerializePnruleModel(*parsed, schema), canonical)
-          << "prefix of " << cut << " bytes parsed to a different model";
-    } else {
-      ExpectLocated(parsed.status(),
-                    "model prefix of " + std::to_string(cut) + " bytes");
+      if (format.accepted_prefixes >= 0) {
+        EXPECT_EQ(*parsed, *full) << context << " parsed to a different "
+                                  << "document";
+      }
+    }
+    if (format.accepted_prefixes >= 0) {
+      EXPECT_EQ(accepted, format.accepted_prefixes);
     }
   }
-  // Exactly one proper prefix is complete: the one ending at "end" with the
-  // trailing newline cut off.
-  EXPECT_EQ(accepted, 1u);
 }
 
 TEST(ModelTruncationTest, EofMidRecordNamesLineAndExpectedToken) {
@@ -117,24 +254,6 @@ TEST(ModelTruncationTest, TrailingContentAfterEndRejected) {
   EXPECT_NE(parsed.status().ToString().find("trailing content after 'end'"),
             std::string::npos)
       << parsed.status().ToString();
-}
-
-TEST(SchemaTruncationTest, EveryBytePrefixIsLocatedErrorOrExactDocument) {
-  const std::string canonical = SerializeSchema(HarnessSchema());
-  size_t accepted = 0;
-  for (size_t cut = 0; cut < canonical.size(); ++cut) {
-    const std::string prefix = canonical.substr(0, cut);
-    auto parsed = ParseSchema(prefix);
-    if (parsed.ok()) {
-      ++accepted;
-      EXPECT_EQ(SerializeSchema(*parsed), canonical)
-          << "prefix of " << cut << " bytes parsed to a different schema";
-    } else {
-      ExpectLocated(parsed.status(),
-                    "schema prefix of " + std::to_string(cut) + " bytes");
-    }
-  }
-  EXPECT_EQ(accepted, 1u);
 }
 
 TEST(SchemaTruncationTest, EofMidRecordNamesLineAndExpectedToken) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/line_format.h"
 #include "data/csv.h"
 #include "pnrule/model_io.h"
 #include "stream/engine.h"
@@ -451,7 +452,8 @@ TEST(DriftTest, RestoreRejectsMalformedBlobsAndStaysUnchanged) {
   const auto expect_rejected = [&](std::string blob, const char* what) {
     const Status status = detector.Restore(blob);
     EXPECT_FALSE(status.ok()) << what;
-    EXPECT_NE(status.message().find("drift-state:"), std::string::npos)
+    EXPECT_TRUE(IsLocatedParseError(status.message()) &&
+                status.message().find("stream-drift") != std::string::npos)
         << what << ": " << status.message();
     EXPECT_EQ(detector.Serialize(), before) << what;
   };
@@ -532,8 +534,9 @@ TEST(StreamCheckpointTest, ParseRejectsMalformedInput) {
   const auto expect_rejected = [](const std::string& text, const char* what) {
     const auto parsed = ParseStreamCheckpoint(text);
     ASSERT_FALSE(parsed.ok()) << what;
-    EXPECT_NE(parsed.status().message().find("stream-checkpoint:"),
-              std::string::npos)
+    EXPECT_TRUE(IsLocatedParseError(parsed.status().message()) &&
+                parsed.status().message().find("stream-checkpoint") !=
+                    std::string::npos)
         << what << ": " << parsed.status().ToString();
   };
 

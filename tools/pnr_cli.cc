@@ -332,16 +332,10 @@ StatusOr<std::unique_ptr<BinaryClassifier>> LoadModel(const Args& args,
   }
   auto text = ReadFileToString(it->second);
   if (!text.ok()) return text.status();
-  std::unique_ptr<BinaryClassifier> classifier;
-  if (LooksLikeAssocModel(*text)) {
-    auto model = ParseAssocModel(*text, data.schema());
-    if (!model.ok()) return model.status();
-    classifier = std::make_unique<AssocClassifier>(std::move(model).value());
-  } else {
-    auto model = ParsePnruleModel(*text, data.schema());
-    if (!model.ok()) return model.status();
-    classifier = std::make_unique<PnruleClassifier>(std::move(model).value());
-  }
+  auto model = ParseAnyModel(*text, data.schema());
+  if (!model.ok()) return model.status();
+  std::unique_ptr<BinaryClassifier> classifier =
+      std::move(model).value().classifier;
   classifier->set_threshold(
       OptionOr(args, "threshold", classifier->threshold()));
   return classifier;
