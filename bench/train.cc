@@ -218,6 +218,7 @@ int Run(bool quick) {
   json += "  \"iterations\": " + std::to_string(iterations) + ",\n";
   json += "  \"timing\": \"best-of-iterations wall seconds per full "
           "one-vs-rest train\",\n";
+  json += "  \"time_basis\": \"wall\",\n";
   json += "  \"cores\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
   json += "  \"paths\": [\n";

@@ -205,7 +205,8 @@ std::optional<CandidateCondition> ConditionSearchEngine::FindBest(
         pruned_attr_scans_.fetch_add(1);
         return;
       }
-      Dataset::ColumnPin column_pin = dataset_.PinColumn(attr);
+      // No column pin: the cache reads the dataset column only while it
+      // builds the attribute's order, and pins it itself for that.
       SortedColumnCache::AttrPin cache_pin = cache_.Pin(attr);
       const SortedColumn& col = cache_.Column(attr, target, rows, membership_,
                                               &scratch_columns_[a]);

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <unordered_set>
-#include <vector>
 
 #include "common/math_util.h"
 
@@ -77,11 +76,12 @@ double ExceptionBitsEmpirical(double cover, double uncover, double fp,
   return total_bits + cover_bits + uncover_bits;
 }
 
-double RuleSetDescriptionLength(const Dataset& dataset, const RowSubset& rows,
-                                CategoryId target, const RuleSet& rules,
-                                double possible_conditions,
-                                double expected_fp_ratio,
-                                bool invert_target) {
+double CoverageDescriptionLength(const Dataset& dataset, const RowSubset& rows,
+                                 const RowSubset& uncovered, CategoryId target,
+                                 const RuleSet& rules,
+                                 double possible_conditions,
+                                 double expected_fp_ratio,
+                                 bool invert_target) {
   double theory = 0.0;
   for (const Rule& rule : rules.rules()) {
     theory += RuleTheoryBits(rule.size(), possible_conditions);
@@ -90,53 +90,54 @@ double RuleSetDescriptionLength(const Dataset& dataset, const RowSubset& rows,
   double uncover = 0.0;
   double fp = 0.0;
   double fn = 0.0;
-  // On a demand-paged dataset a per-row AnyMatch walk alternates columns
-  // every row, and each alternation on a tight budget is a whole-column
-  // decode. Precompute the coverage bitmap rule-major instead (each rule's
-  // CoveredRows is condition-major when paged, so it faults each referenced
-  // column once), then accumulate in the same row order as the plain walk —
-  // the float sums see identical values in identical order either way.
-  std::vector<bool> matched;
-  if (dataset.paged() && !rules.empty()) {
-    matched.assign(rows.size(), false);
-    RowSubset unmatched = rows;
-    for (const Rule& rule : rules.rules()) {
-      const RowSubset covered = rule.CoveredRows(dataset, unmatched);
-      // Both lists are subsequences of `rows`; merge-mark and merge-subtract.
-      RowSubset next;
-      next.reserve(unmatched.size() - covered.size());
-      size_t c = 0, r = 0;
-      for (RowId row : unmatched) {
-        while (r < rows.size() && rows[r] != row) ++r;
-        if (c < covered.size() && covered[c] == row) {
-          ++c;
-          matched[r] = true;
-        } else {
-          next.push_back(row);
-        }
-      }
-      unmatched = std::move(next);
-      if (unmatched.empty()) break;
-    }
-  }
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const RowId row = rows[i];
+  // `uncovered` is a subsequence of `rows`: one merge walk classifies every
+  // row, accumulating in row order.
+  size_t u = 0;
+  for (RowId row : rows) {
     const double w = dataset.weight(row);
     const bool positive = (dataset.label(row) == target) != invert_target;
-    const bool covered_row =
-        matched.empty() ? rules.AnyMatch(dataset, row) : matched[i];
-    if (covered_row) {
-      cover += w;
-      if (!positive) fp += w;
-    } else {
+    if (u < uncovered.size() && uncovered[u] == row) {
+      ++u;
       uncover += w;
       if (positive) fn += w;
+    } else {
+      cover += w;
+      if (!positive) fp += w;
     }
   }
+  assert(u == uncovered.size());
   if (expected_fp_ratio < 0.0) {
     return theory + ExceptionBitsEmpirical(cover, uncover, fp, fn);
   }
   return theory + ExceptionBits(expected_fp_ratio, cover, uncover, fp, fn);
+}
+
+double RuleSetDescriptionLength(const Dataset& dataset, const RowSubset& rows,
+                                CategoryId target, const RuleSet& rules,
+                                double possible_conditions,
+                                double expected_fp_ratio,
+                                bool invert_target) {
+  // On a demand-paged dataset a per-row AnyMatch walk alternates columns
+  // every row, and each alternation on a tight budget is a whole-column
+  // decode. Subtract the rules' coverage rule-major instead (each rule's
+  // UncoveredRows is condition-major when paged, so it faults each
+  // referenced column once); the uncovered rows come out the same either
+  // way, and so does the row-order accumulation over them.
+  RowSubset uncovered;
+  if (dataset.paged()) {
+    uncovered = rows;
+    for (const Rule& rule : rules.rules()) {
+      if (uncovered.empty()) break;
+      uncovered = rule.UncoveredRows(dataset, uncovered);
+    }
+  } else {
+    for (RowId row : rows) {
+      if (!rules.AnyMatch(dataset, row)) uncovered.push_back(row);
+    }
+  }
+  return CoverageDescriptionLength(dataset, rows, uncovered, target, rules,
+                                   possible_conditions, expected_fp_ratio,
+                                   invert_target);
 }
 
 }  // namespace pnr

@@ -61,6 +61,19 @@ double RuleSetDescriptionLength(const Dataset& dataset, const RowSubset& rows,
                                 double expected_fp_ratio = 0.5,
                                 bool invert_target = false);
 
+/// RuleSetDescriptionLength from coverage the caller already holds:
+/// `uncovered` must be exactly the rows of `rows` that no rule of `rules`
+/// covers, in the order they appear in `rows`. Reads only weights and
+/// labels — never a feature column — and returns the same bits as
+/// RuleSetDescriptionLength. PNrule's N-phase keeps that list anyway (the
+/// rows left for the next N-rule), so its MDL stop costs no column pass.
+double CoverageDescriptionLength(const Dataset& dataset, const RowSubset& rows,
+                                 const RowSubset& uncovered, CategoryId target,
+                                 const RuleSet& rules,
+                                 double possible_conditions,
+                                 double expected_fp_ratio = 0.5,
+                                 bool invert_target = false);
+
 }  // namespace pnr
 
 #endif  // PNR_INDUCTION_MDL_H_

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cmath>
+#include <ranges>
 
 namespace pnr {
 
@@ -17,8 +18,25 @@ double MidpointBetween(double lo, double hi, bool round_up) {
   return round_up ? hi : lo;
 }
 
+SortedColumn::SortedColumn(const SortedColumn& other)
+    : values(other.values),
+      prefix_weight(other.prefix_weight),
+      prefix_positive(other.prefix_positive),
+      boundaries(other.boundaries),
+      total_weight(other.total_weight),
+      total_positive(other.total_positive),
+      owned_values(other.owned_values) {
+  if (other.values.data() == other.owned_values.data()) values = owned_values;
+}
+
+SortedColumn& SortedColumn::operator=(const SortedColumn& other) {
+  if (this != &other) *this = SortedColumn(other);
+  return *this;
+}
+
 void SortedColumn::Clear() {
-  values.clear();
+  values = {};
+  owned_values.clear();
   prefix_weight.clear();
   prefix_positive.clear();
   boundaries.clear();
@@ -29,34 +47,56 @@ void SortedColumn::Clear() {
 SortedColumnCache::SortedColumnCache(const Dataset& dataset)
     : dataset_(dataset), per_attr_(dataset.schema().num_attributes()) {}
 
-void SortedColumnCache::BuildOrder(AttrIndex attr, PerAttr* slot) {
-  const std::vector<double>& column = dataset_.numeric_column(attr);
-  slot->order.resize(column.size());
-  for (size_t i = 0; i < column.size(); ++i) {
-    slot->order[i] = static_cast<RowId>(i);
+SortedColumnCache::PerAttr& SortedColumnCache::EnsureOrder(AttrIndex attr) {
+  PerAttr& slot = per_attr_[static_cast<size_t>(attr)];
+  if (slot.order_valid && slot.order_version == dataset_.data_version()) {
+    return slot;
   }
-  std::sort(slot->order.begin(), slot->order.end(),
+  // Pinned: a concurrent scan's fault must not evict the column mid-sort.
+  const Dataset::ColumnPin pin = dataset_.PinColumn(attr);
+  const std::vector<double>& column = dataset_.numeric_column(attr);
+  const size_t n = column.size();
+  // Numbers first, then NaN cells; each part in row-id order, so sorting
+  // the numbers by (value, row id) — a strict weak order once NaN is out —
+  // yields the total order.
+  slot.order.resize(n);
+  size_t valued = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (!std::isnan(column[i])) slot.order[valued++] = static_cast<RowId>(i);
+  }
+  for (size_t i = 0, nan = valued; i < n; ++i) {
+    if (std::isnan(column[i])) slot.order[nan++] = static_cast<RowId>(i);
+  }
+  std::sort(slot.order.begin(), slot.order.begin() + valued,
             [&column](RowId a, RowId b) {
               if (column[a] != column[b]) return column[a] < column[b];
               return a < b;
             });
-  slot->order_version = dataset_.data_version();
-  slot->order_valid = true;
+  slot.sorted_values.resize(valued);
+  slot.rank.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const RowId row = slot.order[i];
+    if (i < valued) slot.sorted_values[i] = column[row];
+    slot.rank[row] = static_cast<uint32_t>(i);
+  }
+  slot.order_version = dataset_.data_version();
+  slot.order_valid = true;
+  slot.full = SortedColumn();  // viewed the previous sorted values
+  slot.full_valid = false;
   sort_count_.fetch_add(1);
+  AccountAndEvict(attr);
+  return slot;
 }
 
 const std::vector<RowId>& SortedColumnCache::SortedOrder(AttrIndex attr) {
-  PerAttr& slot = per_attr_[static_cast<size_t>(attr)];
-  if (!slot.order_valid || slot.order_version != dataset_.data_version()) {
-    BuildOrder(attr, &slot);
-    AccountAndEvict(attr);
-  }
-  return slot.order;
+  return EnsureOrder(attr).order;
 }
 
 size_t SortedColumnCache::SlotBytes(const PerAttr& slot) {
+  // The full-row column's values view `sorted_values`; not counted twice.
   return slot.order.size() * sizeof(RowId) +
-         slot.full.values.size() * sizeof(double) +
+         slot.sorted_values.size() * sizeof(double) +
+         slot.rank.size() * sizeof(uint32_t) +
          slot.full.prefix_weight.size() * sizeof(double) +
          slot.full.prefix_positive.size() * sizeof(double) +
          slot.full.boundaries.size() * sizeof(size_t);
@@ -85,6 +125,8 @@ void SortedColumnCache::AccountAndEvict(AttrIndex attr) {
     if (victim == per_attr_.size()) return;  // everything else is pinned
     PerAttr& evicted = per_attr_[victim];
     std::vector<RowId>().swap(evicted.order);
+    std::vector<double>().swap(evicted.sorted_values);
+    std::vector<uint32_t>().swap(evicted.rank);
     evicted.order_valid = false;
     evicted.full = SortedColumn();
     evicted.full_valid = false;
@@ -121,70 +163,77 @@ size_t SortedColumnCache::resident_bytes() const {
   return resident_bytes_;
 }
 
-void SortedColumnCache::FinishColumn(SortedColumn* out) {
+namespace {
+
+// Fills `out` from the entries at the `positions` — ascending positions in
+// a slot's sorted order — that `keep` accepts, with prefix sums and
+// boundaries. The full-row build, the rank sort and the mask filter all
+// feed positions in (value, row id) order through this one accumulation,
+// so their float prefix sums are bit-identical. A column that does not
+// copy its values views all of `sorted_values`, so it must keep every
+// position.
+template <typename Positions, typename Keep>
+void FillColumn(const Dataset& dataset, const std::vector<RowId>& order,
+                const std::vector<double>& sorted_values, CategoryId target,
+                const Positions& positions, const Keep& keep, size_t expected,
+                bool copy_values, SortedColumn* out) {
+  const std::vector<double>& weights = dataset.weights();
+  const std::vector<CategoryId>& labels = dataset.labels();
+  out->Clear();
+  if (copy_values) out->owned_values.reserve(expected);
+  out->prefix_weight.reserve(expected + 1);
+  out->prefix_positive.reserve(expected + 1);
+  out->prefix_weight.push_back(0.0);
+  out->prefix_positive.push_back(0.0);
+  size_t j = 0;
+  double previous = 0.0;
+  for (const size_t position : positions) {
+    const RowId row = order[position];
+    if (!keep(row)) continue;
+    const double value = sorted_values[position];
+    const double w = weights[row];
+    if (copy_values) out->owned_values.push_back(value);
+    out->prefix_weight.push_back(out->prefix_weight.back() + w);
+    out->prefix_positive.push_back(out->prefix_positive.back() +
+                                   (labels[row] == target ? w : 0.0));
+    if (j > 0 && value > previous) out->boundaries.push_back(j);
+    previous = value;
+    ++j;
+  }
+  out->values = copy_values ? std::span<const double>(out->owned_values)
+                            : std::span<const double>(sorted_values);
   out->total_weight = out->prefix_weight.back();
   out->total_positive = out->prefix_positive.back();
 }
 
-namespace {
-
-// Appends sorted entries of `source` to `out` (which must be pre-cleared and
-// pre-reserved by the caller through Clear()). Kept as a template so the
-// full-order gather and the mask-filter share one accumulation loop — both
-// visit rows in (value, row id) order, so the float prefix sums are
-// bit-identical whichever strategy built the row sequence.
-template <typename RowRange, typename Filter>
-void FillColumn(const Dataset& dataset, const std::vector<double>& column,
-                CategoryId target, const RowRange& source,
-                const Filter& keep, SortedColumn* out) {
-  const std::vector<double>& weights = dataset.weights();
-  const std::vector<CategoryId>& labels = dataset.labels();
-  out->prefix_weight.push_back(0.0);
-  out->prefix_positive.push_back(0.0);
-  size_t j = 0;
-  for (RowId row : source) {
-    if (!keep(row)) continue;
-    const double value = column[row];
-    const double w = weights[row];
-    out->values.push_back(value);
-    out->prefix_weight.push_back(out->prefix_weight.back() + w);
-    out->prefix_positive.push_back(out->prefix_positive.back() +
-                                   (labels[row] == target ? w : 0.0));
-    if (j > 0 && value > out->values[j - 1]) out->boundaries.push_back(j);
-    ++j;
-  }
-}
-
 }  // namespace
 
-void SortedColumnCache::BuildSubsetColumn(AttrIndex attr, CategoryId target,
+void SortedColumnCache::BuildSubsetColumn(const PerAttr& slot,
+                                          CategoryId target,
                                           const RowSubset& rows,
                                           const std::vector<uint8_t>& mask,
                                           SortedColumn* out) {
-  const std::vector<double>& column = dataset_.numeric_column(attr);
-  out->Clear();
-  out->values.reserve(rows.size());
-  out->prefix_weight.reserve(rows.size() + 1);
-  out->prefix_positive.reserve(rows.size() + 1);
-
+  const size_t valued = slot.sorted_values.size();
   const size_t k = rows.size();
   const size_t log_k = static_cast<size_t>(std::bit_width(k));
   if (k * (log_k + 2) < dataset_.num_rows()) {
-    // Small subset: sorting it directly is cheaper than filtering the
-    // full-dataset order. The (value, row id) key reproduces the cached
-    // order exactly, so both strategies yield the same column bytes.
-    std::vector<RowId> sorted(rows);
-    std::sort(sorted.begin(), sorted.end(), [&column](RowId a, RowId b) {
-      if (column[a] != column[b]) return column[a] < column[b];
-      return a < b;
-    });
-    FillColumn(dataset_, column, target, sorted, [](RowId) { return true; },
-               out);
+    // Small subset: sorting its ranks is cheaper than filtering the whole
+    // order, and ranks order rows exactly by (value, row id).
+    std::vector<uint32_t> ranks;
+    ranks.reserve(k);
+    for (RowId row : rows) {
+      const uint32_t r = slot.rank[row];
+      if (r < valued) ranks.push_back(r);  // NaN cells rank last
+    }
+    std::sort(ranks.begin(), ranks.end());
+    FillColumn(dataset_, slot.order, slot.sorted_values, target, ranks,
+               [](RowId) { return true; }, k, /*copy_values=*/true, out);
   } else {
-    FillColumn(dataset_, column, target, SortedOrder(attr),
-               [&mask](RowId row) { return mask[row] != 0; }, out);
+    FillColumn(dataset_, slot.order, slot.sorted_values, target,
+               std::views::iota(size_t{0}, valued),
+               [&mask](RowId row) { return mask[row] != 0; }, k,
+               /*copy_values=*/true, out);
   }
-  FinishColumn(out);
 }
 
 const SortedColumn& SortedColumnCache::Column(AttrIndex attr,
@@ -192,25 +241,20 @@ const SortedColumn& SortedColumnCache::Column(AttrIndex attr,
                                               const RowSubset& rows,
                                               const std::vector<uint8_t>& mask,
                                               SortedColumn* scratch) {
-  const bool full = rows.size() == dataset_.num_rows();
-  if (!full) {
-    BuildSubsetColumn(attr, target, rows, mask, scratch);
+  PerAttr& slot = EnsureOrder(attr);
+  if (rows.size() != dataset_.num_rows()) {
+    BuildSubsetColumn(slot, target, rows, mask, scratch);
     return *scratch;
   }
-  PerAttr& slot = per_attr_[static_cast<size_t>(attr)];
   if (slot.full_valid && slot.full_target == target &&
       slot.full_weight_version == dataset_.weight_version() &&
       slot.full_data_version == dataset_.data_version()) {
     return slot.full;
   }
-  const std::vector<double>& column = dataset_.numeric_column(attr);
-  slot.full.Clear();
-  slot.full.values.reserve(rows.size());
-  slot.full.prefix_weight.reserve(rows.size() + 1);
-  slot.full.prefix_positive.reserve(rows.size() + 1);
-  FillColumn(dataset_, column, target, SortedOrder(attr),
-             [](RowId) { return true; }, &slot.full);
-  FinishColumn(&slot.full);
+  const size_t valued = slot.sorted_values.size();
+  FillColumn(dataset_, slot.order, slot.sorted_values, target,
+             std::views::iota(size_t{0}, valued), [](RowId) { return true; },
+             valued, /*copy_values=*/false, &slot.full);
   slot.full_target = target;
   slot.full_weight_version = dataset_.weight_version();
   slot.full_data_version = dataset_.data_version();

@@ -9,6 +9,13 @@
 // with a linear pass. Weight-dependent aggregates (the full-dataset prefix
 // sums) are additionally cached and invalidated only when record weights
 // change (N-phase re-weighting, stratification); the sorted order survives.
+//
+// Next to each order the cache keeps the values in that order and every
+// row's rank in it, so a column over any row subset is built from the
+// cache alone: the dataset column is read once, when the order is built.
+// On a demand-paged dataset that is the only fault a numeric search takes
+// per attribute and engine. NaN cells sort after every number and are
+// left out of every SortedColumn — no numeric condition matches NaN.
 
 #ifndef PNR_INDUCTION_SORTED_COLUMN_CACHE_H_
 #define PNR_INDUCTION_SORTED_COLUMN_CACHE_H_
@@ -16,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -31,9 +39,20 @@ namespace pnr {
 double MidpointBetween(double lo, double hi, bool round_up);
 
 /// One numeric column restricted to a row subset, sorted by value, with
-/// prefix sums over weight / target-class weight.
+/// prefix sums over weight / target-class weight. Rows whose cell is NaN
+/// are not part of the column.
 struct SortedColumn {
-  std::vector<double> values;           ///< subset values, ascending
+  SortedColumn() = default;
+  // Copies re-point `values` at their own storage when the source owned
+  // its values; moves keep the buffer, so the view stays valid.
+  SortedColumn(const SortedColumn& other);
+  SortedColumn& operator=(const SortedColumn& other);
+  SortedColumn(SortedColumn&&) noexcept = default;
+  SortedColumn& operator=(SortedColumn&&) noexcept = default;
+
+  /// Subset values, ascending. The full-row column views the cache's
+  /// sorted values; a subset column views `owned_values`.
+  std::span<const double> values;
   std::vector<double> prefix_weight;    ///< weight of entries [0, i)
   std::vector<double> prefix_positive;  ///< positive weight of entries [0, i)
   /// Indices i with values[i-1] < values[i]: candidate cut positions.
@@ -58,6 +77,8 @@ struct SortedColumn {
   }
 
   void Clear();
+
+  std::vector<double> owned_values;  ///< backing store of a subset column
 };
 
 /// Per-dataset cache of sorted numeric columns.
@@ -68,9 +89,10 @@ struct SortedColumn {
 /// concurrent calls.
 ///
 /// Bounded-memory mode: set_memory_budget(bytes) caps the resident bytes of
-/// cached orders and prefix columns. Slots are evicted LRU when a build
-/// pushes the cache over budget; an evicted slot is simply rebuilt on next
-/// use, deterministically, so results stay bit-identical at any budget.
+/// cached orders, sorted values, rank maps and prefix columns. Slots are
+/// evicted LRU when a build pushes the cache over budget; an evicted slot
+/// is simply rebuilt on next use (faulting a paged column again),
+/// deterministically, so results stay bit-identical at any budget.
 /// With a budget set, a caller must hold a Pin on an attribute for as long
 /// as it uses a reference returned for that attribute — eviction skips
 /// pinned slots. With no budget (the default) pins are no-ops and nothing
@@ -118,18 +140,20 @@ class SortedColumnCache {
   const Dataset& dataset() const { return dataset_; }
 
   /// Row ids of the whole dataset sorted ascending by (value of `attr`,
-  /// row id). Built on first use; rebuilt when the dataset's rows or cell
-  /// values changed (data_version).
+  /// row id), NaN cells last in row-id order. Built on first use, the only
+  /// read of the dataset column (pinned while it runs); rebuilt when the
+  /// dataset's rows or cell values changed (data_version).
   const std::vector<RowId>& SortedOrder(AttrIndex attr);
 
   /// The column over `rows` of `attr` with positives counted for `target`.
   /// When `rows` is the full dataset the result is served from a per-attr
   /// cache keyed on (target, weight_version) — i.e. invalidated only when
-  /// record weights change. Otherwise `*scratch` is filled (via the cached
-  /// sorted order, or a direct sort when the subset is small enough that
-  /// sorting beats a full-order filter pass — both produce bit-identical
-  /// columns) and returned. `mask` must flag membership of every row in
-  /// `rows` and is only read in the subset case.
+  /// record weights change. Otherwise `*scratch` is filled (by sorting the
+  /// subset's ranks, or by filtering the cached order when the subset is
+  /// large — both produce bit-identical columns) and returned. Neither
+  /// path reads the dataset column once the order is built. `mask` must
+  /// flag membership of every row in `rows` and is only read in the subset
+  /// case.
   const SortedColumn& Column(AttrIndex attr, CategoryId target,
                              const RowSubset& rows,
                              const std::vector<uint8_t>& mask,
@@ -148,7 +172,9 @@ class SortedColumnCache {
 
  private:
   struct PerAttr {
-    std::vector<RowId> order;      ///< all rows by (value, row id)
+    std::vector<RowId> order;      ///< all rows by (value, row id), NaN last
+    std::vector<double> sorted_values;  ///< non-NaN values in `order`
+    std::vector<uint32_t> rank;    ///< row -> position in `order`
     uint64_t order_version = 0;    ///< data_version the order was built at
     bool order_valid = false;
 
@@ -164,7 +190,9 @@ class SortedColumnCache {
     size_t bytes = 0;
   };
 
-  void BuildOrder(AttrIndex attr, PerAttr* slot);
+  /// Builds `attr`'s order, sorted values and rank map when missing or
+  /// stale (which also drops the full-row column viewing the old values).
+  PerAttr& EnsureOrder(AttrIndex attr);
   /// Refreshes `attr`'s byte accounting after a build and evicts LRU
   /// unpinned slots (never `attr` itself) until the budget holds. No-op
   /// when unbounded.
@@ -173,10 +201,9 @@ class SortedColumnCache {
   static size_t SlotBytes(const PerAttr& slot);
   /// Fills `out` for the subset case; entries appear in (value, row id)
   /// order regardless of the build strategy.
-  void BuildSubsetColumn(AttrIndex attr, CategoryId target,
+  void BuildSubsetColumn(const PerAttr& slot, CategoryId target,
                          const RowSubset& rows,
                          const std::vector<uint8_t>& mask, SortedColumn* out);
-  static void FinishColumn(SortedColumn* out);
 
   const Dataset& dataset_;
   std::vector<PerAttr> per_attr_;

@@ -3,8 +3,6 @@
 #include "pnrule/p_phase.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 #include "induction/condition_search.h"
 #include "induction/mdl.h"
@@ -98,10 +96,16 @@ NPhaseResult RunNPhase(ConditionSearchEngine& engine,
   const double recall_floor_weight =
       config.n_recall_lower_limit * total_positive_weight;
 
+  // MDL stop (paper section 2.1): keep adding N-rules only while the total
+  // description length stays within the window of the minimum seen. The
+  // exception bits need the rows no N-rule covers, which is exactly
+  // `remaining`, so every check is a walk over weights and labels — no
+  // re-evaluation of the rule set.
   RowSubset remaining = covered_rows;
-  double min_dl = RuleSetDescriptionLength(dataset, covered_rows, target,
-                                           result.rules, possible_conditions,
-                                           -1.0, /*invert_target=*/true);
+  double min_dl = CoverageDescriptionLength(
+      dataset, covered_rows, remaining, target, result.rules,
+      possible_conditions, -1.0, /*invert_target=*/true);
+  result.description_lengths.push_back(min_dl);
 
   while (result.rules.size() < config.max_n_rules) {
     ClassDistribution absence_dist;
@@ -117,52 +121,25 @@ NPhaseResult RunNPhase(ConditionSearchEngine& engine,
         engine, remaining, target, *metric, absence_dist,
         kept_positive_weight, recall_floor_weight, config.max_n_rule_length,
         enable_range, config.legacy_mode, config.min_refinement_gain);
-    static const bool debug = std::getenv("PNR_DEBUG_NPHASE") != nullptr;
-    if (debug) {
-      std::fprintf(stderr,
-                   "[nphase] rule %zu: size=%zu cov=%.1f abs=%.1f "
-                   "(remaining abs=%.1f pos=%.1f)\n",
-                   result.rules.size(), rule.size(), rule.train_stats.covered,
-                   rule.train_stats.positive, absence_dist.positives,
-                   absence_dist.negatives);
-    }
     if (rule.empty() || rule.train_stats.positive <= 0.0) break;
 
     const double rule_erased =
         rule.train_stats.negative();  // original-target weight it removes
+    RowSubset uncovered = rule.UncoveredRows(dataset, remaining);
     result.rules.AddRule(rule);
-
-    // MDL stop (paper section 2.1): keep the rule only while the total
-    // description length stays within the window of the minimum seen.
-    const double dl = RuleSetDescriptionLength(
-        dataset, covered_rows, target, result.rules, possible_conditions, -1.0,
-        /*invert_target=*/true);
-    if (debug) {
-      double cover = 0.0, uncover = 0.0, fp = 0.0, fn = 0.0;
-      for (RowId row : covered_rows) {
-        const double w = dataset.weight(row);
-        const bool absence = dataset.label(row) != target;
-        if (result.rules.AnyMatch(dataset, row)) {
-          cover += w;
-          if (!absence) fp += w;
-        } else {
-          uncover += w;
-          if (absence) fn += w;
-        }
-      }
-      std::fprintf(stderr,
-                   "[nphase]   dl=%.1f min_dl=%.1f cover=%.0f uncover=%.0f "
-                   "fp=%.0f fn=%.0f\n",
-                   dl, min_dl, cover, uncover, fp, fn);
-    }
+    const double dl = CoverageDescriptionLength(
+        dataset, covered_rows, uncovered, target, result.rules,
+        possible_conditions, -1.0, /*invert_target=*/true);
+    result.description_lengths.push_back(dl);
     if (dl > min_dl + config.mdl_window_bits) {
       result.rules.RemoveRule(result.rules.size() - 1);
+      result.rejected_rule = std::move(rule);
       break;
     }
     if (dl < min_dl) min_dl = dl;
 
     result.erased_positive_weight += rule_erased;
-    remaining = rule.UncoveredRows(dataset, remaining);
+    remaining = std::move(uncovered);
   }
   return result;
 }

@@ -16,6 +16,9 @@
 #ifndef PNR_PNRULE_N_PHASE_H_
 #define PNR_PNRULE_N_PHASE_H_
 
+#include <optional>
+#include <vector>
+
 #include "induction/condition_search.h"
 #include "pnrule/config.h"
 #include "rules/rule_set.h"
@@ -31,6 +34,13 @@ struct NPhaseResult {
   /// Weight of original-target records erased (covered) by the N-rules —
   /// the false negatives the N-phase introduced on the training set.
   double erased_positive_weight = 0.0;
+  /// Description length of the N-rule set at each MDL check, in order:
+  /// first the empty set, then the set after each added rule — including,
+  /// last, the one the MDL window rejected (see `rejected_rule`).
+  std::vector<double> description_lengths;
+  /// The rule whose addition overran the MDL window, if that is what
+  /// stopped the phase. It is not part of `rules`.
+  std::optional<Rule> rejected_rule;
 };
 
 /// Runs the N-phase on `covered_rows` (the union coverage of the P-rules).

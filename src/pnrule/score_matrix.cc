@@ -1,6 +1,5 @@
 #include "pnrule/score_matrix.h"
 
-#include <algorithm>
 #include <cassert>
 #include <vector>
 
@@ -49,40 +48,38 @@ ScoreMatrix ScoreMatrix::Build(const Dataset& dataset, const RowSubset& rows,
 
   // Replay the model over the training rows through the compiled matchers
   // (rules/compiled_rule_set.h) instead of two interpreted FirstMatch scans
-  // per row. Blocks are processed in row order serially, so the float
-  // accumulation order — and thus the matrix — is identical to the
-  // row-at-a-time replay.
+  // per row. One block spans every row, so each referenced column is swept
+  // once per rule list — on a demand-paged dataset, at most one fault per
+  // column and rule list. Cells accumulate in row order, so the matrix is
+  // identical to the row-at-a-time replay.
   std::vector<double> positives(cells, 0.0);
   const CompiledRuleSet compiled_p = CompiledRuleSet::Compile(p_rules);
   const CompiledRuleSet compiled_n = CompiledRuleSet::Compile(n_rules);
   CompiledRuleSet::Scratch scratch;
-  constexpr size_t kBlock = 4096;
-  std::vector<int32_t> p_first(kBlock);
-  std::vector<int32_t> n_first(kBlock);
-  for (size_t begin = 0; begin < rows.size(); begin += kBlock) {
-    const size_t count = std::min(kBlock, rows.size() - begin);
-    compiled_p.FirstMatchBlock(dataset, rows.data() + begin, count,
-                               p_first.data(), &scratch);
-    // Only P-covered rows land in a cell, so the N replay can restrict
-    // itself to them (sparse for a rare class).
-    BitMask p_matched(count);
-    for (size_t i = 0; i < count; ++i) {
-      if (p_first[i] != kNoRule) p_matched.Set(i);
-    }
-    compiled_n.FirstMatchBlock(dataset, rows.data() + begin, count,
-                               n_first.data(), &scratch, &p_matched);
-    for (size_t i = 0; i < count; ++i) {
-      const int32_t p = p_first[i];
-      if (p == kNoRule) continue;
-      const size_t n_index = n_first[i] == kNoRule
-                                 ? matrix.num_n_
-                                 : static_cast<size_t>(n_first[i]);
-      const size_t cell = matrix.Index(static_cast<size_t>(p), n_index);
-      const RowId row = rows[begin + i];
-      const double w = dataset.weight(row);
-      matrix.weights_[cell] += w;
-      if (dataset.label(row) == target) positives[cell] += w;
-    }
+  const size_t count = rows.size();
+  std::vector<int32_t> p_first(count);
+  std::vector<int32_t> n_first(count);
+  compiled_p.FirstMatchBlock(dataset, rows.data(), count, p_first.data(),
+                             &scratch);
+  // Only P-covered rows land in a cell, so the N replay can restrict itself
+  // to them (sparse for a rare class).
+  BitMask p_matched(count);
+  for (size_t i = 0; i < count; ++i) {
+    if (p_first[i] != kNoRule) p_matched.Set(i);
+  }
+  compiled_n.FirstMatchBlock(dataset, rows.data(), count, n_first.data(),
+                             &scratch, &p_matched);
+  for (size_t i = 0; i < count; ++i) {
+    const int32_t p = p_first[i];
+    if (p == kNoRule) continue;
+    const size_t n_index = n_first[i] == kNoRule
+                               ? matrix.num_n_
+                               : static_cast<size_t>(n_first[i]);
+    const size_t cell = matrix.Index(static_cast<size_t>(p), n_index);
+    const RowId row = rows[i];
+    const double w = dataset.weight(row);
+    matrix.weights_[cell] += w;
+    if (dataset.label(row) == target) positives[cell] += w;
   }
 
   const double s = config.score_smoothing;

@@ -463,11 +463,20 @@ void CompiledRuleSet::EnsureCondition(uint32_t ci, const Dataset& dataset,
     for (uint32_t j = group.begin; j < group.end; ++j) {
       scratch->evaluated[j] = 1;
     }
-  } else {
-    BitMask& mask = scratch->condition_masks[ci];
+    return;
+  }
+  // Paged: sweep every condition on the attribute back to back while its
+  // column is resident, so a block faults each column at most once even
+  // when rules reach the attribute's conditions far apart.
+  const bool whole_group = dataset.paged();
+  const uint32_t begin = whole_group ? group.begin : ci;
+  const uint32_t end = whole_group ? group.end : ci + 1;
+  for (uint32_t j = begin; j < end; ++j) {
+    if (scratch->evaluated[j]) continue;
+    BitMask& mask = scratch->condition_masks[j];
     if (mask.size() != count) mask = BitMask(count);
-    EvalNumericCondition(ci, dataset, rows, count, scratch);
-    scratch->evaluated[ci] = 1;
+    EvalNumericCondition(j, dataset, rows, count, scratch);
+    scratch->evaluated[j] = 1;
   }
 }
 

@@ -82,6 +82,11 @@ class CompiledRuleSet {
   /// (the rest keep kNoRule); a sparse candidate set short-circuits to the
   /// per-row walk. The result for candidate rows is independent of which
   /// path ran.
+  ///
+  /// On a demand-paged dataset the block always runs the dense path, and
+  /// the first condition it needs on an attribute sweeps all of that
+  /// attribute's conditions while the column is resident, so one call
+  /// faults each referenced column at most once.
   void FirstMatchBlock(const Dataset& dataset, const RowId* rows, size_t count,
                        int32_t* out, Scratch* scratch,
                        const BitMask* candidates = nullptr) const;

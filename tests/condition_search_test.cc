@@ -297,6 +297,49 @@ TEST(ConditionSearchTest, AdjacentDoubleRangeConditionPartitionsExactly) {
   EXPECT_DOUBLE_EQ(best->stats.negative(), 0.0);
 }
 
+// --- NaN cells ---------------------------------------------------------------
+
+// 400 rows, x NaN on every fifth row, labelled x > 0.7. NaN matches no
+// numeric condition, so it must not enter any slice the search scores:
+// left in the (value, row id) sort it broke the comparator's strict weak
+// order and the chosen cut's statistics overstated its real coverage.
+Dataset NanDataset() {
+  Rng rng(77);
+  std::vector<std::pair<std::vector<double>, bool>> rows;
+  for (int i = 0; i < 400; ++i) {
+    const double x = i % 5 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                                : rng.NextDouble(0, 1);
+    rows.push_back({{x}, x > 0.7});
+  }
+  return MakeNumericDataset(1, rows);
+}
+
+TEST(ConditionSearchTest, NanCellsStayOutOfSearchStatistics) {
+  const Dataset dataset = NanDataset();
+  // Full rows (the cached full-row column), a small subset (built by
+  // sorting ranks) and a large one (built by filtering the sorted order);
+  // the subsets keep some NaN rows.
+  RowSubset small, large;
+  for (RowId r = 0; r < dataset.num_rows(); ++r) {
+    if (r % 20 == 0 || r % 20 == 7) small.push_back(r);
+    if (r % 10 != 3) large.push_back(r);
+  }
+  for (const RowSubset& rows : {dataset.AllRows(), small, large}) {
+    ConditionSearchEngine engine(dataset);
+    const auto best = engine.FindBest(rows, kPos, PosMinusNeg);
+    ASSERT_TRUE(best.has_value()) << rows.size() << " rows";
+    const RuleStats matched =
+        Rule({best->condition}).Evaluate(dataset, rows, kPos);
+    EXPECT_EQ(best->stats.covered, matched.covered)
+        << best->condition.ToString(dataset.schema()) << " over "
+        << rows.size() << " rows";
+    EXPECT_EQ(best->stats.positive, matched.positive)
+        << best->condition.ToString(dataset.schema()) << " over "
+        << rows.size() << " rows";
+    EXPECT_EQ(best->stats.covered, best->stats.positive) << "x > 0.7 is pure";
+  }
+}
+
 // --- CandidateBetter total order -------------------------------------------
 
 TEST(CandidateBetterTest, OrdersByScoreThenAttrThenKindThenCuts) {

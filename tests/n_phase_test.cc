@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.h"
+#include "induction/mdl.h"
 #include "pnrule/p_phase.h"
 #include "test_util.h"
 
@@ -11,6 +14,7 @@ namespace {
 
 using testutil::kPos;
 using testutil::MakeNumericDataset;
+using testutil::PagedCopy;
 
 // x0 holds a single impure target peak around 5; x1 separates the false
 // positives: negatives inside the peak sit in a narrow x1 band around 2,
@@ -54,6 +58,85 @@ PhaseOutputs RunBothPhases(const Dataset& dataset,
                     out.p.total_positive_weight,
                     out.p.covered_positive_weight, config);
   return out;
+}
+
+// Random weighted data with a noisy target band on x0, false positives
+// inside it that x1..x2 or the categorical c separate, and label noise
+// everywhere.
+Dataset RandomBandDataset(uint64_t seed, size_t num_rows) {
+  Schema schema;
+  for (const char* name : {"x0", "x1", "x2"}) {
+    schema.AddAttribute(Attribute::Numeric(name));
+  }
+  schema.AddAttribute(Attribute::Categorical("c", {"a", "b", "c", "d"}));
+  schema.GetOrAddClass("neg");
+  schema.GetOrAddClass("pos");
+  Dataset dataset(std::move(schema));
+  Rng rng(seed);
+  const double lo = rng.NextDouble(1, 6);
+  const double width = rng.NextDouble(1, 3);
+  const double veto = rng.NextDouble(1, 4);
+  for (size_t i = 0; i < num_rows; ++i) {
+    const RowId r = dataset.AddRow();
+    double x[3];
+    for (int a = 0; a < 3; ++a) {
+      x[a] = std::floor(rng.NextDouble(0, 10) * 8) / 8;  // ties
+      dataset.set_numeric(r, static_cast<AttrIndex>(a), x[a]);
+    }
+    const CategoryId c = static_cast<CategoryId>(rng.NextBelow(4));
+    dataset.set_categorical(r, 3, c);
+    const bool band = x[0] >= lo && x[0] <= lo + width;
+    const bool vetoed = x[1] < veto || x[2] > 10 - veto || c == 3;
+    const bool positive = band && !vetoed ? !rng.NextBool(0.1)
+                                          : rng.NextBool(0.02);
+    dataset.set_label(r, positive ? kPos : 0);
+    // Arbitrary weights make the float sums order-sensitive.
+    dataset.set_weight(r, rng.NextDouble(0.5, 2.5));
+  }
+  return dataset;
+}
+
+// The N-phase's MDL stop codes the exceptions from the rows it keeps
+// uncovered; at every step — the one the MDL window rejects included —
+// that must be bit-for-bit RuleSetDescriptionLength's re-evaluation of the
+// rule set, in RAM and on a demand-paged view.
+TEST(NPhaseTest, MdlStopMatchesRuleSetDescriptionLength) {
+  size_t rejections = 0;
+  size_t steps = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const Dataset in_ram = RandomBandDataset(seed, 1500);
+    // Less than one column resident: every column switch is a fault.
+    const Dataset paged =
+        PagedCopy(in_ram, in_ram.num_rows() * sizeof(double) / 2);
+    for (const Dataset* data : {&in_ram, &paged}) {
+      for (double window : {64.0, 2.0}) {
+        PnruleConfig config = DefaultConfig();
+        config.mdl_window_bits = window;
+        const PhaseOutputs out = RunBothPhases(*data, config);
+        std::vector<Rule> added = out.n.rules.rules();
+        if (out.n.rejected_rule.has_value()) {
+          added.push_back(*out.n.rejected_rule);
+          ++rejections;
+        }
+        ASSERT_EQ(out.n.description_lengths.size(), added.size() + 1)
+            << "seed " << seed << " window " << window;
+        const double possible = CountPossibleConditions(*data);
+        RuleSet prefix;
+        for (size_t i = 0; i <= added.size(); ++i) {
+          if (i > 0) prefix.AddRule(added[i - 1]);
+          const double expected = RuleSetDescriptionLength(
+              *data, out.p.covered_rows, kPos, prefix, possible, -1.0,
+              /*invert_target=*/true);
+          EXPECT_EQ(out.n.description_lengths[i], expected)
+              << "seed " << seed << " window " << window << " step " << i
+              << (data->paged() ? " paged" : " in RAM");
+          ++steps;
+        }
+      }
+    }
+  }
+  EXPECT_GT(rejections, 0u) << "no run reached the MDL window";
+  EXPECT_GT(steps, 24u);
 }
 
 TEST(NPhaseTest, LearnsAbsenceSignature) {

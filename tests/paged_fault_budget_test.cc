@@ -1,0 +1,169 @@
+// Column-fault budget of PNrule training on a demand-paged dataset.
+//
+// Every fault decodes a whole column, so on a budget smaller than one
+// column the fault count is the cost model of out-of-core training. These
+// tests pin the counts the training loop's access patterns promise
+// (DESIGN.md §14, "Access-pattern discipline"); all of them are exact and
+// deterministic:
+//
+//   * ScoreMatrix::Build replays each rule list in one pass over the rows,
+//     faulting each attribute a rule list references at most once;
+//   * once an engine has built its sorted orders, a numeric search over any
+//     row subset faults nothing — the cache holds the sorted values and
+//     rank maps the search needs;
+//   * the N-phase's MDL check faults nothing: the phase's column traffic is
+//     exactly its rules' growth and coverage passes.
+
+#include <gtest/gtest.h>
+
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "induction/condition_search.h"
+#include "induction/mdl.h"
+#include "pnrule/n_phase.h"
+#include "pnrule/p_phase.h"
+#include "pnrule/score_matrix.h"
+#include "test_util.h"
+
+namespace pnr {
+namespace {
+
+using testutil::kPos;
+using testutil::MakeNumericDataset;
+
+// Four uniform attributes. The target sits in two bands (x0 in [2, 3],
+// x1 in [7, 8]) except where x2 < 2 or x3 > 8, so the P-phase finds the
+// bands and the N-phase learns absence rules on other attributes. The
+// default size spans several 4096-row blocks.
+Dataset BandsDataset(size_t num_rows = 10000) {
+  Rng rng(4242);
+  std::vector<std::pair<std::vector<double>, bool>> rows;
+  rows.reserve(num_rows);
+  for (size_t i = 0; i < num_rows; ++i) {
+    std::vector<double> x(4);
+    for (double& v : x) v = rng.NextDouble(0, 10);
+    const bool band = (x[0] >= 2 && x[0] <= 3) || (x[1] >= 7 && x[1] <= 8);
+    const bool vetoed = x[2] < 2 || x[3] > 8;
+    const bool positive = band && !vetoed ? !rng.NextBool(0.05)
+                                          : rng.NextBool(0.01);
+    rows.push_back({std::move(x), positive});
+  }
+  return MakeNumericDataset(4, rows);
+}
+
+// A paged view of `in_ram` whose budget holds less than one column, so
+// every switch to another column is a fault.
+Dataset PagedView(const Dataset& in_ram) {
+  return testutil::PagedCopy(in_ram, in_ram.num_rows() * sizeof(double) / 2);
+}
+
+size_t DistinctAttrs(const RuleSet& rules) {
+  std::set<AttrIndex> attrs;
+  for (const Rule& rule : rules.rules()) {
+    for (const Condition& c : rule.conditions()) attrs.insert(c.attr);
+  }
+  return attrs.size();
+}
+
+double PosMinusNeg(const RuleStats& stats) {
+  return stats.positive - stats.negative();
+}
+
+TEST(PagedFaultBudgetTest, ScoreMatrixFaultsEachColumnOncePerRuleList) {
+  const Dataset in_ram = BandsDataset();
+  const PnruleConfig config;
+  const RowSubset rows = in_ram.AllRows();
+  const PPhaseResult p = RunPPhase(in_ram, rows, kPos, config);
+  const NPhaseResult n =
+      RunNPhase(in_ram, p.covered_rows, kPos, p.total_positive_weight,
+                p.covered_positive_weight, config);
+  ASSERT_GE(p.rules.size(), 2u);
+  ASSERT_GE(n.rules.size(), 1u);
+  const ScoreMatrix reference =
+      ScoreMatrix::Build(in_ram, rows, kPos, p.rules, n.rules, config);
+
+  const Dataset paged = PagedView(in_ram);
+  const uint64_t before = paged.column_fault_count();
+  const ScoreMatrix matrix =
+      ScoreMatrix::Build(paged, rows, kPos, p.rules, n.rules, config);
+  EXPECT_LE(paged.column_fault_count() - before,
+            DistinctAttrs(p.rules) + DistinctAttrs(n.rules));
+  EXPECT_EQ(matrix.ToString(), reference.ToString());
+}
+
+TEST(PagedFaultBudgetTest, NumericSearchFaultsOnlyWhileBuildingOrders) {
+  // Large enough that a 4-thread engine scans the full rows in parallel,
+  // building the orders (and pinning their columns) concurrently.
+  const Dataset in_ram = BandsDataset(40000);
+  ConditionSearchEngine in_ram_engine(in_ram);
+  // A small subset (its column is built by sorting ranks) and a large one
+  // (by filtering the sorted order), each searched twice.
+  RowSubset small, large;
+  for (RowId r = 0; r < in_ram.num_rows(); ++r) {
+    if (r % 397 == 0) small.push_back(r);
+    if (r % 3 != 0) large.push_back(r);
+  }
+  for (size_t threads : {1u, 4u}) {
+    const Dataset paged = PagedView(in_ram);
+    ConditionSearchEngine engine(paged, threads);
+    ASSERT_TRUE(engine.FindBest(paged.AllRows(), kPos, PosMinusNeg));
+    const uint64_t built = paged.column_fault_count();
+    EXPECT_LE(built, paged.schema().num_attributes()) << "one per order";
+    for (const RowSubset* rows : {&small, &large, &small, &large}) {
+      const auto best = engine.FindBest(*rows, kPos, PosMinusNeg);
+      const auto expected = in_ram_engine.FindBest(*rows, kPos, PosMinusNeg);
+      ASSERT_TRUE(best.has_value() && expected.has_value());
+      EXPECT_EQ(best->condition, expected->condition);
+    }
+    EXPECT_EQ(paged.column_fault_count(), built) << threads << " threads";
+  }
+}
+
+TEST(PagedFaultBudgetTest, NPhaseMdlCheckAddsNoFaults) {
+  const Dataset in_ram = BandsDataset();
+  const PnruleConfig config;
+  const PPhaseResult p = RunPPhase(in_ram, in_ram.AllRows(), kPos, config);
+
+  // The phase under test, on an engine whose orders are already built (so
+  // its searches fault nothing), from a known resident column.
+  const Dataset paged = PagedView(in_ram);
+  ConditionSearchEngine engine(paged);
+  ASSERT_TRUE(engine.FindBest(paged.AllRows(), kPos, PosMinusNeg));
+  paged.numeric_column(0);
+  const uint64_t before = paged.column_fault_count();
+  const NPhaseResult n =
+      RunNPhase(engine, p.covered_rows, kPos, p.total_positive_weight,
+                p.covered_positive_weight, config);
+  const uint64_t phase_faults = paged.column_fault_count() - before;
+  ASSERT_GE(n.rules.size(), 2u);
+  ASSERT_GE(DistinctAttrs(n.rules), 2u);
+
+  // Replay, on a fresh view in the same state, only the column passes the
+  // phase needs besides its searches: the possible-condition count, each
+  // rule's growth (one coverage pass per accepted condition, over the rows
+  // the rule so far covers) and each rule's coverage pass over the rows
+  // still uncovered — the rejected rule's included.
+  const Dataset replay = PagedView(in_ram);
+  replay.numeric_column(0);
+  const uint64_t replay_before = replay.column_fault_count();
+  CountPossibleConditions(replay);
+  std::vector<Rule> rules = n.rules.rules();
+  if (n.rejected_rule.has_value()) rules.push_back(*n.rejected_rule);
+  RowSubset remaining = p.covered_rows;
+  for (const Rule& rule : rules) {
+    Rule grown;
+    RowSubset covered = remaining;
+    for (const Condition& condition : rule.conditions()) {
+      grown.AddCondition(condition);
+      covered = grown.CoveredRows(replay, covered);
+    }
+    remaining = rule.UncoveredRows(replay, remaining);
+  }
+  EXPECT_EQ(phase_faults, replay.column_fault_count() - replay_before);
+}
+
+}  // namespace
+}  // namespace pnr

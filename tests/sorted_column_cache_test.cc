@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -176,6 +177,47 @@ TEST(SortedColumnCacheTest, SubsetCallsDoNotTouchFullCache) {
   SortedColumn scratch;
   cache.Column(0, kPos, subset, mask, &scratch);
   EXPECT_EQ(cache.full_build_count(), 0u);
+}
+
+TEST(SortedColumnCacheTest, NanCellsSortLastAndStayOutOfColumns) {
+  Dataset dataset = MakeDataset(200, 8);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (RowId r = 0; r < dataset.num_rows(); r += 4) {
+    dataset.set_numeric(r, 1, nan);
+  }
+  SortedColumnCache cache(dataset);
+  const std::vector<RowId>& order = cache.SortedOrder(1);
+  ASSERT_EQ(order.size(), dataset.num_rows());
+  const size_t numbers = dataset.num_rows() - 50;
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(std::isnan(dataset.numeric(order[i], 1)), i >= numbers) << i;
+  }
+  for (size_t i = 1; i < numbers; ++i) {
+    EXPECT_LE(dataset.numeric(order[i - 1], 1), dataset.numeric(order[i], 1));
+  }
+  for (size_t i = numbers + 1; i < order.size(); ++i) {
+    EXPECT_LT(order[i - 1], order[i]) << "NaN rows keep row-id order";
+  }
+
+  RowSubset small, large;
+  for (RowId r = 0; r < dataset.num_rows(); ++r) {
+    if (r % 20 == 0 || r % 20 == 1) small.push_back(r);  // rank sort
+    if (r % 8 != 5) large.push_back(r);                  // order filter
+  }
+  for (const RowSubset& rows : {dataset.AllRows(), small, large}) {
+    std::vector<uint8_t> mask(dataset.num_rows(), 0);
+    for (RowId r : rows) mask[r] = 1;
+    SortedColumn scratch;
+    const SortedColumn& col = cache.Column(1, kPos, rows, mask, &scratch);
+    RowSubset valued;
+    for (RowId r : rows) {
+      if (!std::isnan(dataset.numeric(r, 1))) valued.push_back(r);
+    }
+    ASSERT_EQ(col.values.size(), valued.size()) << rows.size() << " rows";
+    for (double v : col.values) EXPECT_FALSE(std::isnan(v));
+    EXPECT_EQ(col.total_weight, static_cast<double>(valued.size()));
+    EXPECT_DOUBLE_EQ(col.total_positive, dataset.ClassWeight(valued, kPos));
+  }
 }
 
 }  // namespace

@@ -3,10 +3,14 @@
 #ifndef PNR_TESTS_TEST_UTIL_H_
 #define PNR_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/dataset.h"
+#include "data/shard_store.h"
 
 namespace pnr {
 namespace testutil {
@@ -56,6 +60,19 @@ inline Dataset MakeNumericDataset(
     dataset.set_label(r, positive ? 1 : 0);
   }
   return dataset;
+}
+
+/// A demand-paged view of `in_ram`, round-tripped through an in-memory
+/// shard store, that keeps at most `budget_bytes` of columns resident.
+inline Dataset PagedCopy(const Dataset& in_ram, size_t budget_bytes) {
+  auto bytes = SerializeShardStore(in_ram, ShardStoreWriteOptions());
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto reader =
+      ShardStoreReader::OpenBuffer(std::move(bytes).value(), "test.pns");
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  auto paged = MakePagedDataset(*reader, budget_bytes);
+  EXPECT_TRUE(paged.ok()) << paged.status().ToString();
+  return std::move(paged).value();
 }
 
 /// The positive class id in datasets built by the helpers above.
