@@ -1,9 +1,13 @@
 #include "c45/rules.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <utility>
 
 #include "common/bitmask.h"
 #include "common/math_util.h"
@@ -221,15 +225,6 @@ struct WeightCounter {
   }
 };
 
-BitMask ConditionMask(const Dataset& dataset, const RowSubset& rows,
-                      const Condition& condition) {
-  BitMask mask(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (condition.Matches(dataset, rows[i])) mask.Set(i);
-  }
-  return mask;
-}
-
 // Pessimistic error rate of a rule covering `cov` weight with `err` of it
 // wrong. Empty coverage is maximally pessimistic.
 double PessimisticErrorRate(double cov, double err, double cf) {
@@ -237,34 +232,52 @@ double PessimisticErrorRate(double cov, double err, double cf) {
   return BinomialUpperLimit(cov, std::min(err, cov), cf);
 }
 
-// Greedy generalization (Quinlan ch. 5): repeatedly delete the condition
-// whose removal minimizes the rule's pessimistic error rate, while that
-// does not exceed the current rule's rate.
-void GeneralizeRule(const Dataset& dataset, const RowSubset& rows,
-                    const WeightCounter& counter, const BitMask& class_mask,
-                    double cf, Rule* rule) {
-  std::vector<BitMask> masks;
-  masks.reserve(rule->size());
-  for (const Condition& condition : rule->conditions()) {
-    masks.push_back(ConditionMask(dataset, rows, condition));
+// PessimisticErrorRate memoized over one training run. The rate is a root
+// search over the incomplete beta function, and generalization asks for
+// the same (coverage, errors) pair again and again: a deletion that
+// changes no coverage, the chosen deletion as the next round's baseline,
+// sibling leaves' shared paths. Keys are the exact bit patterns, so every
+// rate is the one the direct call returns.
+class PessimisticRates {
+ public:
+  explicit PessimisticRates(double cf) : cf_(cf) {}
+
+  double operator()(double cov, double err) {
+    const auto [it, inserted] = memo_.try_emplace(
+        {std::bit_cast<uint64_t>(cov), std::bit_cast<uint64_t>(err)}, 0.0);
+    if (inserted) it->second = PessimisticErrorRate(cov, err, cf_);
+    return it->second;
   }
 
+ private:
+  double cf_;
+  std::map<std::pair<uint64_t, uint64_t>, double> memo_;
+};
+
+// Greedy generalization (Quinlan ch. 5): repeatedly delete the condition
+// whose removal minimizes the rule's pessimistic error rate, while that
+// does not exceed the current rule's rate. `masks[i]` is the coverage of
+// the rule's i-th condition.
+void GeneralizeRule(std::vector<const BitMask*> masks,
+                    const WeightCounter& counter, const BitMask& class_mask,
+                    PessimisticRates* rates, Rule* rule) {
+  const size_t num_rows = counter.rows->size();
   while (!masks.empty()) {
     const size_t k = masks.size();
     // Prefix/suffix ANDs let each single-deletion coverage be computed in
     // one block-wise AND.
     std::vector<BitMask> prefix(k + 1);
     std::vector<BitMask> suffix(k + 1);
-    prefix[0] = BitMask(rows.size(), true);
-    suffix[k] = BitMask(rows.size(), true);
-    for (size_t i = 0; i < k; ++i) prefix[i + 1] = prefix[i] & masks[i];
-    for (size_t i = k; i-- > 0;) suffix[i] = suffix[i + 1] & masks[i];
+    prefix[0] = BitMask(num_rows, true);
+    suffix[k] = BitMask(num_rows, true);
+    for (size_t i = 0; i < k; ++i) prefix[i + 1] = prefix[i] & *masks[i];
+    for (size_t i = k; i-- > 0;) suffix[i] = suffix[i + 1] & *masks[i];
 
     const BitMask& current = prefix[k];
     const double current_cov = counter.Weight(current);
     const double current_err = counter.WeightAndNot(current, class_mask);
     const double current_rate =
-        PessimisticErrorRate(current_cov, current_err, cf);
+        (*rates)(current_cov, current_err);
 
     double best_rate = std::numeric_limits<double>::infinity();
     size_t best_index = k;
@@ -272,7 +285,7 @@ void GeneralizeRule(const Dataset& dataset, const RowSubset& rows,
       const BitMask without = prefix[j] & suffix[j + 1];
       const double cov = counter.Weight(without);
       const double err = counter.WeightAndNot(without, class_mask);
-      const double rate = PessimisticErrorRate(cov, err, cf);
+      const double rate = (*rates)(cov, err);
       if (rate < best_rate) {
         best_rate = rate;
         best_index = j;
@@ -292,12 +305,13 @@ struct SubsetResult {
   double false_positive_weight = 0.0;
 };
 
-SubsetResult SelectRuleSubset(const Dataset& dataset, const RowSubset& rows,
-                              const WeightCounter& counter,
+SubsetResult SelectRuleSubset(const WeightCounter& counter,
                               const BitMask& class_mask,
                               const std::vector<const Rule*>& rules,
                               const std::vector<BitMask>& coverage,
                               double possible_conditions) {
+  const Dataset& dataset = *counter.dataset;
+  const RowSubset& rows = *counter.rows;
   const size_t n = rules.size();
   std::vector<bool> included(n, true);
 
@@ -306,6 +320,14 @@ SubsetResult SelectRuleSubset(const Dataset& dataset, const RowSubset& rows,
   for (size_t r = 0; r < n; ++r) {
     coverage[r].ForEachSet([&](size_t i) { ++cover_count[i]; });
   }
+  // Unit weights: a removal's deltas are popcounts against `multi` (rows
+  // covered by two or more included rules) and `multi_or_class`. Integer
+  // sums are exact, so they equal the row walk's sums bit for bit.
+  BitMask multi(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (cover_count[i] >= 2) multi.Set(i);
+  }
+  BitMask multi_or_class = multi | class_mask;
   double cover_w = 0.0;
   double fp_w = 0.0;
   double total_w = 0.0;
@@ -346,17 +368,25 @@ SubsetResult SelectRuleSubset(const Dataset& dataset, const RowSubset& rows,
       double cov = cover_w;
       double fp = fp_w;
       double fn = fn_w;
-      coverage[r].ForEachSet([&](size_t i) {
-        if (cover_count[i] != 1) return;
-        const double w =
-            counter.unit_weights ? 1.0 : dataset.weight(rows[i]);
-        cov -= w;
-        if (class_mask.Get(i)) {
-          fn += w;
-        } else {
-          fp -= w;
-        }
-      });
+      if (counter.unit_weights) {
+        const double lost = static_cast<double>(coverage[r].CountAndNot(multi));
+        const double lost_fp =
+            static_cast<double>(coverage[r].CountAndNot(multi_or_class));
+        cov -= lost;
+        fp -= lost_fp;
+        fn += lost - lost_fp;
+      } else {
+        coverage[r].ForEachSet([&](size_t i) {
+          if (cover_count[i] != 1) return;
+          const double w = dataset.weight(rows[i]);
+          cov -= w;
+          if (class_mask.Get(i)) {
+            fn += w;
+          } else {
+            fp -= w;
+          }
+        });
+      }
       const double th =
           theory - RuleTheoryBits(rules[r]->size(), possible_conditions);
       const double dl = total_dl(th, cov, fp, fn);
@@ -371,7 +401,10 @@ SubsetResult SelectRuleSubset(const Dataset& dataset, const RowSubset& rows,
     }
     if (best_rule == n) break;
     included[best_rule] = false;
-    coverage[best_rule].ForEachSet([&](size_t i) { --cover_count[i]; });
+    coverage[best_rule].ForEachSet([&](size_t i) {
+      if (--cover_count[i] == 1) multi.Set(i, false);
+    });
+    multi_or_class = multi | class_mask;
     cover_w = best_cov;
     fp_w = best_fp;
     fn_w = best_fn;
@@ -402,15 +435,38 @@ StatusOr<C45RulesClassifier> C45RulesLearner::TrainOnRows(
   Status status = config_.Validate();
   if (!status.ok()) return status;
 
+  // The MDL theory cost's condition count is a whole-dataset statistic (one
+  // pass per numeric column); taking it first keeps the rule steps below
+  // on their own columns.
+  const double possible_conditions = CountPossibleConditions(dataset);
+
   // Step 1: overfitted tree.
   C45Config tree_config = config_.tree;
   tree_config.prune = false;
   auto tree = BuildC45Tree(dataset, rows, tree_config);
   if (!tree.ok()) return tree.status();
 
-  // Step 2: one rule per leaf.
+  // Step 2: one rule per leaf. Generalization only deletes conditions, so
+  // every later step works on the coverage masks of these rules' distinct
+  // conditions, each built once by one column sweep.
   std::vector<ClassRule> initial = ExtractTreeRules(
       *tree, dataset.schema(), config_.max_initial_rules);
+  RuleSet leaf_rules;
+  for (const ClassRule& entry : initial) leaf_rules.AddRule(entry.rule);
+  const CompiledRuleSet program = CompiledRuleSet::Compile(leaf_rules);
+  const std::vector<BitMask> condition_masks =
+      program.ConditionMasks(dataset, rows.data(), rows.size());
+  auto mask_of = [&](const Condition& condition) -> const BitMask& {
+    return condition_masks[static_cast<size_t>(
+        program.ConditionIndex(condition))];
+  };
+  auto coverage_of = [&](const Rule& rule) {
+    BitMask mask(rows.size(), true);
+    for (const Condition& condition : rule.conditions()) {
+      mask &= mask_of(condition);
+    }
+    return mask;
+  };
 
   WeightCounter counter;
   counter.dataset = &dataset;
@@ -430,9 +486,15 @@ StatusOr<C45RulesClassifier> C45RulesLearner::TrainOnRows(
   }
 
   // Step 3: generalize each rule against the full training rows.
+  PessimisticRates rates(config_.cf);
   for (ClassRule& entry : initial) {
-    GeneralizeRule(dataset, rows, counter,
-                   class_masks[static_cast<size_t>(entry.cls)], config_.cf,
+    std::vector<const BitMask*> masks;
+    masks.reserve(entry.rule.size());
+    for (const Condition& condition : entry.rule.conditions()) {
+      masks.push_back(&mask_of(condition));
+    }
+    GeneralizeRule(std::move(masks), counter,
+                   class_masks[static_cast<size_t>(entry.cls)], &rates,
                    &entry.rule);
   }
 
@@ -450,41 +512,40 @@ StatusOr<C45RulesClassifier> C45RulesLearner::TrainOnRows(
     if (!duplicate) unique.push_back(std::move(entry));
   }
 
-  // Step 5: per-class MDL subset selection.
-  const double possible_conditions = CountPossibleConditions(dataset);
+  // Step 5: per-class MDL subset selection. Each kept rule's statistics
+  // (for step 6's ranking) and the union of kept coverage (for step 7's
+  // default class) come from the same masks.
   struct ClassGroup {
     CategoryId cls;
     std::vector<ClassRule> rules;
     double false_positive_weight = 0.0;
   };
   std::vector<ClassGroup> groups;
+  BitMask uncovered(rows.size(), true);
   for (size_t cls = 0; cls < num_classes; ++cls) {
     std::vector<const Rule*> class_rules;
     std::vector<size_t> source;
+    std::vector<BitMask> coverage;
     for (size_t i = 0; i < unique.size(); ++i) {
       if (unique[i].cls == static_cast<CategoryId>(cls)) {
         class_rules.push_back(&unique[i].rule);
         source.push_back(i);
+        coverage.push_back(coverage_of(unique[i].rule));
       }
     }
     if (class_rules.empty()) continue;
-    std::vector<BitMask> coverage;
-    coverage.reserve(class_rules.size());
-    for (const Rule* rule : class_rules) {
-      BitMask mask(rows.size(), true);
-      for (const Condition& condition : rule->conditions()) {
-        mask &= ConditionMask(dataset, rows, condition);
-      }
-      coverage.push_back(std::move(mask));
-    }
-    SubsetResult subset =
-        SelectRuleSubset(dataset, rows, counter, class_masks[cls],
-                         class_rules, coverage, possible_conditions);
+    SubsetResult subset = SelectRuleSubset(
+        counter, class_masks[cls], class_rules, coverage, possible_conditions);
     ClassGroup group;
     group.cls = static_cast<CategoryId>(cls);
     group.false_positive_weight = subset.false_positive_weight;
     for (size_t kept : subset.kept) {
-      group.rules.push_back(unique[source[kept]]);
+      ClassRule entry = unique[source[kept]];
+      entry.rule.train_stats.covered = counter.Weight(coverage[kept]);
+      entry.rule.train_stats.positive =
+          counter.WeightAnd(coverage[kept], class_masks[cls]);
+      uncovered.AndNot(coverage[kept]);
+      group.rules.push_back(std::move(entry));
     }
     if (!group.rules.empty()) groups.push_back(std::move(group));
   }
@@ -498,40 +559,31 @@ StatusOr<C45RulesClassifier> C45RulesLearner::TrainOnRows(
                    });
   std::vector<ClassRule> ordered;
   for (ClassGroup& group : groups) {
-    for (ClassRule& entry : group.rules) {
-      entry.rule.train_stats = entry.rule.Evaluate(dataset, rows, entry.cls);
-    }
     std::stable_sort(
         group.rules.begin(), group.rules.end(),
         [&](const ClassRule& a, const ClassRule& b) {
           const RuleStats& sa = a.rule.train_stats;
           const RuleStats& sb = b.rule.train_stats;
-          return PessimisticErrorRate(sa.covered, sa.negative(), config_.cf) <
-                 PessimisticErrorRate(sb.covered, sb.negative(), config_.cf);
+          return rates(sa.covered, sa.negative()) <
+                 rates(sb.covered, sb.negative());
         });
     for (ClassRule& entry : group.rules) {
       ordered.push_back(std::move(entry));
     }
   }
 
-  // Step 7: default class = majority among records no rule covers.
+  // Step 7: default class = majority among records no rule covers (weights
+  // summed in row order).
   std::vector<double> uncovered_weight(num_classes, 0.0);
   double uncovered_target = 0.0;
   double uncovered_total = 0.0;
-  for (RowId row : rows) {
-    bool covered = false;
-    for (const ClassRule& entry : ordered) {
-      if (entry.rule.Matches(dataset, row)) {
-        covered = true;
-        break;
-      }
-    }
-    if (covered) continue;
+  uncovered.ForEachSet([&](size_t i) {
+    const RowId row = rows[i];
     const double w = dataset.weight(row);
     uncovered_weight[static_cast<size_t>(dataset.label(row))] += w;
     uncovered_total += w;
     if (dataset.label(row) == target) uncovered_target += w;
-  }
+  });
   CategoryId default_class = target == 0 ? 1 : 0;  // fallback: not-target
   double best_weight = -1.0;
   for (size_t cls = 0; cls < num_classes; ++cls) {

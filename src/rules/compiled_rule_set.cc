@@ -1,6 +1,7 @@
 #include "rules/compiled_rule_set.h"
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -165,6 +166,12 @@ __attribute__((target("avx"))) void CmpSpanAvx(const double* v, size_t n,
       break;
     }
   }
+  // Clear the upper register state before the (SSE) scalar tail. GCC does
+  // not insert this before that call, and a dirty upper state slows every
+  // later SSE instruction in the process on Intel cores: on an Intel Xeon,
+  // a C4.5 tree build ran 2.7x slower after one sweep that ended in a
+  // partial word.
+  _mm256_zeroupper();
   if (full * 64 < n) {
     out[full] = CmpBitsScalar(v + full * 64, n - full * 64, lo, hi, kind);
   }
@@ -222,6 +229,7 @@ __attribute__((target("avx512f"))) void CmpSpanAvx512(const double* v,
       break;
     }
   }
+  _mm256_zeroupper();  // before the SSE tail; see CmpSpanAvx
   if (full * 64 < n) {
     out[full] = CmpBitsScalar(v + full * 64, n - full * 64, lo, hi, kind);
   }
@@ -246,13 +254,28 @@ CmpSpanFn PickCmpSpan() {
 /// choice never affects results.
 const CmpSpanFn kCmpSpan = PickCmpSpan();
 
+/// A threshold under a strict total order: numbers compare as doubles
+/// (-0.0 == 0.0), and every NaN equals every other NaN and sorts last. A
+/// NaN threshold fails every comparison whatever its payload, so merging
+/// NaN thresholds never changes a match.
+struct Threshold {
+  double v;
+  friend bool operator<(Threshold a, Threshold b) {
+    return !std::isnan(a.v) && (std::isnan(b.v) || a.v < b.v);
+  }
+  friend bool operator==(Threshold a, Threshold b) {
+    return std::isnan(a.v) ? std::isnan(b.v) : a.v == b.v;
+  }
+};
+
 /// Total order grouping conditions by attribute (then op, then operands);
 /// also the dedup equality key. Exact double comparison is intentional:
 /// conditions are only shared when structurally identical, the same
-/// contract as Condition::operator==.
-auto ConditionKey(const Condition& c) {
-  return std::make_tuple(c.attr, static_cast<int>(c.op), c.category, c.lo,
-                         c.hi);
+/// contract as Condition::operator== (NaN thresholds aside, see Threshold).
+template <typename C>  // Condition or CompiledCondition
+auto ConditionKey(const C& c) {
+  return std::make_tuple(c.attr, static_cast<int>(c.op), c.category,
+                         Threshold{c.lo}, Threshold{c.hi});
 }
 
 /// Below this candidate density the per-row walk beats full-block scans:
@@ -342,13 +365,8 @@ CompiledRuleSet CompiledRuleSet::Compile(const RuleSet& rules) {
     Span span;
     span.begin = static_cast<uint32_t>(compiled.rule_conditions_.size());
     for (const Condition& c : rule.conditions()) {
-      const auto it = std::lower_bound(
-          unique.begin(), unique.end(), c,
-          [](const Condition& a, const Condition& b) {
-            return ConditionKey(a) < ConditionKey(b);
-          });
       compiled.rule_conditions_.push_back(
-          static_cast<uint32_t>(it - unique.begin()));
+          static_cast<uint32_t>(compiled.ConditionIndex(c)));
     }
     span.end = static_cast<uint32_t>(compiled.rule_conditions_.size());
     std::sort(compiled.rule_conditions_.begin() + span.begin,
@@ -356,6 +374,36 @@ CompiledRuleSet CompiledRuleSet::Compile(const RuleSet& rules) {
     compiled.rules_.push_back(span);
   }
   return compiled;
+}
+
+int32_t CompiledRuleSet::ConditionIndex(const Condition& condition) const {
+  const auto key = ConditionKey(condition);
+  const auto it = std::lower_bound(
+      conditions_.begin(), conditions_.end(), key,
+      [](const CompiledCondition& c, const auto& k) {
+        return ConditionKey(c) < k;
+      });
+  if (it == conditions_.end() || ConditionKey(*it) != key) return -1;
+  return static_cast<int32_t>(it - conditions_.begin());
+}
+
+std::vector<BitMask> CompiledRuleSet::ConditionMasks(const Dataset& dataset,
+                                                     const RowId* rows,
+                                                     size_t count) const {
+  Scratch scratch;
+  scratch.condition_masks.resize(conditions_.size());
+  if (count == 0) return std::move(scratch.condition_masks);
+  scratch.evaluated.resize(conditions_.size(), 0);
+  scratch.rows_consecutive = true;
+  for (size_t i = 1; i < count && scratch.rows_consecutive; ++i) {
+    scratch.rows_consecutive = rows[i] == rows[0] + i;
+  }
+  // Conditions are grouped by attribute, so each column is swept while it
+  // is the one most recently touched.
+  for (uint32_t ci = 0; ci < conditions_.size(); ++ci) {
+    EnsureCondition(ci, dataset, rows, count, &scratch);
+  }
+  return std::move(scratch.condition_masks);
 }
 
 void CompiledRuleSet::EvalCategoricalGroup(const AttrGroup& group,

@@ -95,6 +95,19 @@ class CompiledRuleSet {
   /// exposed for tests). Identical to RuleSet::FirstMatch.
   int32_t FirstMatchRow(const Dataset& dataset, RowId row) const;
 
+  /// Index of `condition` among the distinct conditions (its mask in
+  /// ConditionMasks), or -1 when no rule of the program tests it.
+  int32_t ConditionIndex(const Condition& condition) const;
+
+  /// The coverage mask of every distinct condition over rows[0, count):
+  /// bit i of result[ConditionIndex(c)] is set iff rows[i] satisfies c.
+  /// Runs the dense path's column sweeps once each: one per categorical
+  /// attribute and one per numeric condition, taken attribute by
+  /// attribute, so a demand-paged dataset faults each referenced column
+  /// at most once.
+  std::vector<BitMask> ConditionMasks(const Dataset& dataset,
+                                      const RowId* rows, size_t count) const;
+
  private:
   /// One deduplicated condition (same fields as rules/condition.h, laid out
   /// flat for the columnar sweep).

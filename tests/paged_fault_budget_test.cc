@@ -12,7 +12,9 @@
 //     row subset faults nothing — the cache holds the sorted values and
 //     rank maps the search needs;
 //   * the N-phase's MDL check faults nothing: the phase's column traffic is
-//     exactly its rules' growth and coverage passes.
+//     exactly its rules' growth and coverage passes;
+//   * C4.5rules' rule steps (everything after its tree) fault each
+//     attribute the tree's rules reference at most once.
 
 #include <gtest/gtest.h>
 
@@ -20,12 +22,14 @@
 #include <utility>
 #include <vector>
 
+#include "c45/rules.h"
 #include "common/rng.h"
 #include "induction/condition_search.h"
 #include "induction/mdl.h"
 #include "pnrule/n_phase.h"
 #include "pnrule/p_phase.h"
 #include "pnrule/score_matrix.h"
+#include "synth/kdd_sim.h"
 #include "test_util.h"
 
 namespace pnr {
@@ -163,6 +167,47 @@ TEST(PagedFaultBudgetTest, NPhaseMdlCheckAddsNoFaults) {
     remaining = rule.UncoveredRows(replay, remaining);
   }
   EXPECT_EQ(phase_faults, replay.column_fault_count() - replay_before);
+}
+
+TEST(PagedFaultBudgetTest, C45RulesStepsFaultEachRuleColumnOnce) {
+  KddSimParams params;
+  params.train_records = 2000;
+  params.test_records = 1000;
+  params.seed = 515;
+  auto generated = GenerateKddSim(params);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const Dataset& in_ram = generated->train;
+  const CategoryId target =
+      in_ram.schema().class_attr().FindCategory("probe");
+  const C45RulesLearner learner;
+  auto reference = learner.Train(in_ram, target);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  // Below one categorical column, so every switch of column is a fault.
+  const size_t budget = in_ram.num_rows() * sizeof(CategoryId) / 2;
+  const Dataset paged = testutil::PagedCopy(in_ram, budget);
+  auto model = learner.Train(paged, target);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+  const uint64_t faults = paged.column_fault_count();
+  EXPECT_EQ(model->Describe(paged.schema()),
+            reference->Describe(in_ram.schema()));
+
+  // Replay, on a fresh view, what the learner does before its rule steps:
+  // the possible-condition count and the unpruned tree.
+  const Dataset replay = testutil::PagedCopy(in_ram, budget);
+  CountPossibleConditions(replay);
+  C45Config tree_config = learner.config().tree;
+  tree_config.prune = false;
+  auto tree = BuildC45Tree(replay, replay.AllRows(), tree_config);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const uint64_t tree_faults = replay.column_fault_count();
+  RuleSet leaf_rules;
+  for (const auto& entry : ExtractTreeRules(
+           *tree, replay.schema(), learner.config().max_initial_rules)) {
+    leaf_rules.AddRule(entry.rule);
+  }
+  ASSERT_GE(DistinctAttrs(leaf_rules), 3u);
+  EXPECT_LE(faults - tree_faults, DistinctAttrs(leaf_rules));
 }
 
 }  // namespace

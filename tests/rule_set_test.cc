@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
+#include "rules/compiled_rule_set.h"
 #include "test_util.h"
 
 namespace pnr {
@@ -68,6 +73,61 @@ TEST(RuleSetTest, ToStringListsRulesWithStats) {
   const std::string text = rules.ToString(dataset.schema());
   EXPECT_NE(text.find("x <= 1.0000"), std::string::npos);
   EXPECT_NE(text.find("acc=0.9000"), std::string::npos);
+}
+
+TEST(CompiledRuleSetTest, ConditionMasksMatchEveryCondition) {
+  // Several mask words with a partial last one, and a NaN cell every 7th
+  // row. Two rules test the same NaN threshold: it must get one mask.
+  std::vector<testutil::MixedRow> rows;
+  for (int i = 0; i < 200; ++i) {
+    rows.push_back({i % 7 == 0 ? std::nan("") : 0.05 * i,
+                    static_cast<CategoryId>(i % 3), i % 2 == 0});
+  }
+  const Dataset dataset = MakeMixedDataset(rows);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RuleSet rules;
+  rules.AddRule(
+      Rule({Condition::LessEqual(0, 4.0), Condition::CatEqual(1, 1)}));
+  rules.AddRule(
+      Rule({Condition::InRange(0, 2.0, 6.0), Condition::CatEqual(1, 2)}));
+  rules.AddRule(
+      Rule({Condition::Greater(0, 4.0), Condition::LessEqual(0, nan)}));
+  rules.AddRule(
+      Rule({Condition::CatEqual(1, 1), Condition::LessEqual(0, nan)}));
+  const CompiledRuleSet program = CompiledRuleSet::Compile(rules);
+  EXPECT_EQ(program.num_unique_conditions(), 6u);
+  EXPECT_EQ(program.ConditionIndex(Condition::Greater(0, 9.0)), -1);
+  EXPECT_EQ(program.ConditionIndex(Condition::CatEqual(1, 0)), -1);
+
+  RowSubset all = dataset.AllRows();  // consecutive: the SIMD sweep
+  RowSubset gathered;                 // the gather loop
+  for (RowId r = 0; r < dataset.num_rows(); r += 3) gathered.push_back(r);
+  const Dataset paged = testutil::PagedCopy(
+      dataset, dataset.num_rows() * sizeof(CategoryId) / 2);
+  for (const RowSubset* subset : {&all, &gathered}) {
+    const std::vector<BitMask> masks =
+        program.ConditionMasks(dataset, subset->data(), subset->size());
+    ASSERT_EQ(masks.size(), program.num_unique_conditions());
+    for (const Rule& rule : rules.rules()) {
+      for (const Condition& c : rule.conditions()) {
+        const int32_t index = program.ConditionIndex(c);
+        ASSERT_GE(index, 0);
+        const BitMask& mask = masks[static_cast<size_t>(index)];
+        ASSERT_EQ(mask.size(), subset->size());
+        for (size_t i = 0; i < subset->size(); ++i) {
+          EXPECT_EQ(mask.Get(i), c.Matches(dataset, (*subset)[i])) << i;
+        }
+      }
+    }
+    // A paged dataset gets the same masks, faulting each column once.
+    const uint64_t before = paged.column_fault_count();
+    EXPECT_EQ(program.ConditionMasks(paged, subset->data(), subset->size()),
+              masks);
+    EXPECT_LE(paged.column_fault_count() - before, 2u);
+  }
+  for (RowId r = 0; r < dataset.num_rows(); ++r) {
+    EXPECT_EQ(program.FirstMatchRow(dataset, r), rules.FirstMatch(dataset, r));
+  }
 }
 
 }  // namespace
