@@ -6,6 +6,8 @@
 #include <limits>
 #include <vector>
 
+#include "induction/mdl.h"
+
 namespace pnr {
 namespace {
 
@@ -52,15 +54,17 @@ struct SearchState {
   }
 };
 
-void ScanCategorical(const Dataset& dataset, const RowSubset& rows,
-                     CategoryId target, AttrIndex attr, SearchState* state) {
+void ScanCategorical(const Dataset& dataset,
+                     const std::vector<CategoryId>& codes,
+                     const RowSubset& rows, CategoryId target, AttrIndex attr,
+                     SearchState* state) {
   const size_t num_categories =
       dataset.schema().attribute(attr).num_categories();
   if (num_categories == 0) return;
   std::vector<double> weight(num_categories, 0.0);
   std::vector<double> positive(num_categories, 0.0);
   for (RowId row : rows) {
-    const CategoryId c = dataset.categorical(row, attr);
+    const CategoryId c = codes[row];
     if (c == kInvalidCategory) continue;
     const double w = dataset.weight(row);
     weight[static_cast<size_t>(c)] += w;
@@ -136,6 +140,17 @@ void ScanNumeric(const SortedColumn& col, AttrIndex attr,
   }
 }
 
+// True when the dataset's zonemap range hint for numeric `attr` is a single
+// finite point: every non-NaN cell holds that value, so the column has no
+// cut and at most one distinct value.
+bool ConstantByHint(const Dataset& dataset, AttrIndex attr) {
+  const std::vector<std::pair<double, double>>& hints =
+      dataset.numeric_range_hints();
+  if (hints.empty()) return false;
+  const std::pair<double, double>& hint = hints[static_cast<size_t>(attr)];
+  return std::isfinite(hint.first) && hint.first == hint.second;
+}
+
 }  // namespace
 
 bool CandidateBetter(const CandidateCondition& a, const CandidateCondition& b) {
@@ -182,8 +197,6 @@ std::optional<CandidateCondition> ConditionSearchEngine::FindBest(
   }
 
   // Per-attribute winners: each slot written by exactly one task.
-  const std::vector<std::pair<double, double>>& hints =
-      dataset_.numeric_range_hints();
   std::vector<std::optional<CandidateCondition>> results(num_attrs);
   const auto scan_attribute = [&](size_t a) {
     const AttrIndex attr = static_cast<AttrIndex>(a);
@@ -191,22 +204,19 @@ std::optional<CandidateCondition> ConditionSearchEngine::FindBest(
     state.scorer = &scorer;
     state.options = &options;
     state.total_weight = total_weight;
+    // No column pin: the cache reads the dataset column only while it
+    // builds the attribute's slot, and pins it itself for that.
     if (schema.attribute(attr).is_categorical()) {
-      // Pin the column so a concurrent scan's fault can't evict it from a
-      // paged dataset mid-read (no-op on plain in-RAM datasets).
-      Dataset::ColumnPin column_pin = dataset_.PinColumn(attr);
-      ScanCategorical(dataset_, rows, target, attr, &state);
+      SortedColumnCache::AttrPin cache_pin = cache_.Pin(attr);
+      ScanCategorical(dataset_, cache_.Codes(attr), rows, target, attr,
+                      &state);
     } else {
       // Zonemap pruning: a constant column has no boundaries and thus no
-      // candidates, so when the range hint is a single finite point the
-      // scan is skipped without faulting or sorting the column.
-      if (!hints.empty() && std::isfinite(hints[a].first) &&
-          hints[a].first == hints[a].second) {
+      // candidates, so the scan is skipped without faulting or sorting it.
+      if (ConstantByHint(dataset_, attr)) {
         pruned_attr_scans_.fetch_add(1);
         return;
       }
-      // No column pin: the cache reads the dataset column only while it
-      // builds the attribute's order, and pins it itself for that.
       SortedColumnCache::AttrPin cache_pin = cache_.Pin(attr);
       const SortedColumn& col = cache_.Column(attr, target, rows, membership_,
                                               &scratch_columns_[a]);
@@ -215,18 +225,7 @@ std::optional<CandidateCondition> ConditionSearchEngine::FindBest(
     results[a] = std::move(state.best);
   };
 
-  // Small subsets are not worth fanning out: per-task overhead dominates
-  // (BENCH_condition_search.json shows multi-thread configs losing to the
-  // serial scan at 20k rows), so clamp by the shared rows-per-thread
-  // heuristic and fall back to the serial loop.
-  const bool parallel =
-      pool_ != nullptr && num_attrs > 1 &&
-      ThreadPool::ClampThreadsForRows(num_threads_, rows.size()) > 1;
-  if (parallel) {
-    pool_->ParallelFor(num_attrs, scan_attribute);
-  } else {
-    for (size_t a = 0; a < num_attrs; ++a) scan_attribute(a);
-  }
+  ForEachAttribute(rows.size(), scan_attribute);
 
   // Deterministic reduction: attribute order plus the CandidateBetter total
   // order makes the result independent of task scheduling.
@@ -238,6 +237,72 @@ std::optional<CandidateCondition> ConditionSearchEngine::FindBest(
     }
   }
   return best;
+}
+
+void ConditionSearchEngine::ForEachAttribute(
+    size_t rows, const std::function<void(size_t)>& body) {
+  // Small subsets are not worth fanning out: per-task overhead dominates
+  // (BENCH_condition_search.json shows multi-thread configs losing to the
+  // serial scan at 20k rows), so clamp by the shared rows-per-thread
+  // heuristic and fall back to the serial loop.
+  const size_t num_attrs = dataset_.schema().num_attributes();
+  if (pool_ != nullptr && num_attrs > 1 &&
+      ThreadPool::ClampThreadsForRows(num_threads_, rows) > 1) {
+    pool_->ParallelFor(num_attrs, body);
+  } else {
+    for (size_t a = 0; a < num_attrs; ++a) body(a);
+  }
+}
+
+RowSubset ConditionSearchEngine::CoveredRows(const Condition& condition,
+                                             const RowSubset& rows) {
+  const SortedColumnCache::AttrPin pin = cache_.Pin(condition.attr);
+  RowSubset out;
+  if (condition.op == ConditionOp::kCatEqual) {
+    const std::vector<CategoryId>& codes = cache_.Codes(condition.attr);
+    for (RowId row : rows) {
+      if (codes[row] == condition.category) out.push_back(row);
+    }
+    return out;
+  }
+  const std::vector<double>& values = cache_.SortedValues(condition.attr);
+  const std::vector<uint32_t>& ranks = cache_.Ranks(condition.attr);
+  for (RowId row : rows) {
+    const uint32_t rank = ranks[row];
+    if (rank < values.size() && condition.MatchesNumber(values[rank])) {
+      out.push_back(row);
+    }
+  }
+  return out;
+}
+
+double ConditionSearchEngine::PossibleConditions() {
+  if (possible_conditions_valid_ &&
+      possible_conditions_version_ == dataset_.data_version()) {
+    return possible_conditions_;
+  }
+  // Distinct counts of the numeric attributes. One whose order is not
+  // built yet is built here, over every row, so fan out like a search over
+  // every row would; each attribute is handled by one task.
+  const Schema& schema = dataset_.schema();
+  std::vector<size_t> distinct(schema.num_attributes(), 0);
+  ForEachAttribute(dataset_.num_rows(), [&](size_t a) {
+    const AttrIndex attr = static_cast<AttrIndex>(a);
+    if (!schema.attribute(attr).is_numeric()) return;
+    if (ConstantByHint(dataset_, attr)) {
+      distinct[a] = 1;
+      return;
+    }
+    const SortedColumnCache::AttrPin pin = cache_.Pin(attr);
+    distinct[a] = cache_.DistinctValues(attr);
+  });
+  possible_conditions_ =
+      PossibleConditionCount(schema, [&distinct](AttrIndex attr) {
+        return distinct[static_cast<size_t>(attr)];
+      });
+  possible_conditions_version_ = dataset_.data_version();
+  possible_conditions_valid_ = true;
+  return possible_conditions_;
 }
 
 std::optional<CandidateCondition> FindBestCondition(

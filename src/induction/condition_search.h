@@ -13,8 +13,11 @@
 //
 // ConditionSearchEngine is the stateful fast path: it keeps a per-dataset
 // SortedColumnCache (each numeric attribute sorted once, prefix sums derived
-// per refinement instead of re-sorting) and an optional thread pool that
-// evaluates the attributes of one call in parallel. Results are reduced
+// per refinement instead of re-sorting; each categorical attribute's codes
+// copied once) and an optional thread pool that evaluates the attributes of
+// one call in parallel. The same cache answers a condition's coverage and
+// the dataset's possible-condition count, so a learner that holds an
+// engine reads each dataset column once per engine. Results are reduced
 // under a total order on candidates — (score, attr index, condition kind,
 // cut value) — so a parallel search returns bit-identical results to a
 // serial one, for any thread count.
@@ -73,10 +76,12 @@ struct ConditionSearchOptions {
 
 /// Reusable search engine bound to one dataset.
 ///
-/// Construct once per training run and issue every FindBest through it: the
-/// sorted-column cache then amortizes all O(n log n) sorting across the
-/// run's refinement calls. Calls must be issued serially from one thread
-/// (the engine parallelizes internally).
+/// Construct once per training run — or once per one-vs-rest committee:
+/// nothing cached depends on the target class except the full-row prefix
+/// sums — and issue every FindBest through it: the sorted-column cache then
+/// amortizes all O(n log n) sorting across the run's refinement calls.
+/// Calls must be issued serially from one thread (the engine parallelizes
+/// internally).
 class ConditionSearchEngine {
  public:
   /// `num_threads`: 1 = serial, 0 = hardware concurrency, n = n workers.
@@ -104,6 +109,20 @@ class ConditionSearchEngine {
       const RowSubset& rows, CategoryId target, const ConditionScorer& scorer,
       const ConditionSearchOptions& options = {});
 
+  /// The rows of `rows` that satisfy `condition`, in their order in `rows`
+  /// — exactly the rows Condition::Matches accepts, NaN cells included.
+  /// Read from the cache: a categorical test reads the code copy, a numeric
+  /// one the row's sorted value (a NaN cell ranks past every number, and
+  /// no numeric condition matches it).
+  RowSubset CoveredRows(const Condition& condition, const RowSubset& rows);
+
+  /// The `n` of the MDL theory cost (CountPossibleConditions), computed once
+  /// per data_version from the cache: a numeric column's distinct values
+  /// are its sorted values' boundaries + 1. Columns the zonemap proves
+  /// constant contribute nothing and are not read; orders not built yet are
+  /// built in parallel, as by a search over every row.
+  double PossibleConditions();
+
   /// Numeric attribute scans skipped because the dataset's zonemap range
   /// hint proves the column constant (a constant column yields no
   /// boundaries, hence no candidates — skipping it never changes the
@@ -111,6 +130,10 @@ class ConditionSearchEngine {
   uint64_t pruned_attr_scans() const { return pruned_attr_scans_.load(); }
 
  private:
+  /// Runs `body(a)` for every attribute index: on the pool when it has
+  /// workers and `rows` rows justify more than one thread, else serially.
+  void ForEachAttribute(size_t rows, const std::function<void(size_t)>& body);
+
   const Dataset& dataset_;
   size_t num_threads_;
   SortedColumnCache cache_;
@@ -118,6 +141,9 @@ class ConditionSearchEngine {
   std::vector<SortedColumn> scratch_columns_; ///< one per attribute
   std::vector<uint8_t> membership_;           ///< row mask scratch
   std::atomic<uint64_t> pruned_attr_scans_{0};
+  double possible_conditions_ = 0.0;
+  uint64_t possible_conditions_version_ = 0;
+  bool possible_conditions_valid_ = false;
 };
 
 /// One-shot convenience wrapper: builds a transient engine (thread count

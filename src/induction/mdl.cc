@@ -9,22 +9,32 @@
 
 namespace pnr {
 
-double CountPossibleConditions(const Dataset& dataset) {
-  const Schema& schema = dataset.schema();
+double PossibleConditionCount(
+    const Schema& schema,
+    const std::function<size_t(AttrIndex)>& distinct_values) {
   double count = 0.0;
   for (size_t a = 0; a < schema.num_attributes(); ++a) {
     const AttrIndex attr = static_cast<AttrIndex>(a);
     if (schema.attribute(attr).is_categorical()) {
       count += static_cast<double>(schema.attribute(attr).num_categories());
     } else {
-      const auto& column = dataset.numeric_column(attr);
-      std::unordered_set<double> distinct(column.begin(), column.end());
-      if (distinct.size() > 1) {
-        count += 2.0 * static_cast<double>(distinct.size() - 1);
-      }
+      const size_t distinct = distinct_values(attr);
+      if (distinct > 1) count += 2.0 * static_cast<double>(distinct - 1);
     }
   }
   return std::max(count, 1.0);
+}
+
+double CountPossibleConditions(const Dataset& dataset) {
+  return PossibleConditionCount(dataset.schema(), [&](AttrIndex attr) {
+    // Equal keys hash equally, so -0.0 and 0.0 count once; NaN, which
+    // equals nothing, is left out.
+    std::unordered_set<double> distinct;
+    for (double v : dataset.numeric_column(attr)) {
+      if (!std::isnan(v)) distinct.insert(v);
+    }
+    return distinct.size();
+  });
 }
 
 double RuleTheoryBits(size_t num_conditions, double possible_conditions) {

@@ -11,6 +11,8 @@
 #ifndef PNR_INDUCTION_MDL_H_
 #define PNR_INDUCTION_MDL_H_
 
+#include <functional>
+
 #include "data/dataset.h"
 #include "rules/rule_set.h"
 
@@ -24,7 +26,15 @@ inline constexpr double kMdlStopWindowBits = 64.0;
 /// contribute one candidate per category, numeric attributes contribute two
 /// one-sided tests per distinct-value boundary (over the full dataset).
 /// This is the `n` in the theory cost of choosing a rule's conditions.
+/// Distinct values are the non-NaN ones, -0.0 and 0.0 being one value.
 double CountPossibleConditions(const Dataset& dataset);
+
+/// The count above from each numeric attribute's number of distinct non-NaN
+/// values, `distinct_values(attr)`; the one definition behind
+/// CountPossibleConditions and ConditionSearchEngine::PossibleConditions.
+double PossibleConditionCount(
+    const Schema& schema,
+    const std::function<size_t(AttrIndex)>& distinct_values);
 
 /// Theory cost in bits of one rule with `num_conditions` conditions drawn
 /// from `possible_conditions` candidates:

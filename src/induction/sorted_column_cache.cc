@@ -49,9 +49,7 @@ SortedColumnCache::SortedColumnCache(const Dataset& dataset)
 
 SortedColumnCache::PerAttr& SortedColumnCache::EnsureOrder(AttrIndex attr) {
   PerAttr& slot = per_attr_[static_cast<size_t>(attr)];
-  if (slot.order_valid && slot.order_version == dataset_.data_version()) {
-    return slot;
-  }
+  if (Current(slot)) return slot;
   // Pinned: a concurrent scan's fault must not evict the column mid-sort.
   const Dataset::ColumnPin pin = dataset_.PinColumn(attr);
   const std::vector<double>& column = dataset_.numeric_column(attr);
@@ -74,13 +72,22 @@ SortedColumnCache::PerAttr& SortedColumnCache::EnsureOrder(AttrIndex attr) {
             });
   slot.sorted_values.resize(valued);
   slot.rank.resize(n);
+  size_t distinct = valued > 0 ? 1 : 0;
   for (size_t i = 0; i < n; ++i) {
     const RowId row = slot.order[i];
-    if (i < valued) slot.sorted_values[i] = column[row];
+    if (i < valued) {
+      slot.sorted_values[i] = column[row];
+      if (i > 0 && slot.sorted_values[i - 1] < slot.sorted_values[i]) {
+        ++distinct;
+      }
+    }
     slot.rank[row] = static_cast<uint32_t>(i);
   }
   slot.order_version = dataset_.data_version();
   slot.order_valid = true;
+  slot.distinct = distinct;
+  slot.distinct_version = slot.order_version;
+  slot.distinct_valid = true;
   slot.full = SortedColumn();  // viewed the previous sorted values
   slot.full_valid = false;
   sort_count_.fetch_add(1);
@@ -92,11 +99,40 @@ const std::vector<RowId>& SortedColumnCache::SortedOrder(AttrIndex attr) {
   return EnsureOrder(attr).order;
 }
 
+const std::vector<double>& SortedColumnCache::SortedValues(AttrIndex attr) {
+  return EnsureOrder(attr).sorted_values;
+}
+
+const std::vector<uint32_t>& SortedColumnCache::Ranks(AttrIndex attr) {
+  return EnsureOrder(attr).rank;
+}
+
+size_t SortedColumnCache::DistinctValues(AttrIndex attr) {
+  const PerAttr& slot = per_attr_[static_cast<size_t>(attr)];
+  if (slot.distinct_valid &&
+      slot.distinct_version == dataset_.data_version()) {
+    return slot.distinct;
+  }
+  return EnsureOrder(attr).distinct;
+}
+
+const std::vector<CategoryId>& SortedColumnCache::Codes(AttrIndex attr) {
+  PerAttr& slot = per_attr_[static_cast<size_t>(attr)];
+  if (Current(slot)) return slot.codes;
+  const Dataset::ColumnPin pin = dataset_.PinColumn(attr);
+  slot.codes = dataset_.categorical_column(attr);
+  slot.order_version = dataset_.data_version();
+  slot.order_valid = true;
+  AccountAndEvict(attr);
+  return slot.codes;
+}
+
 size_t SortedColumnCache::SlotBytes(const PerAttr& slot) {
   // The full-row column's values view `sorted_values`; not counted twice.
   return slot.order.size() * sizeof(RowId) +
          slot.sorted_values.size() * sizeof(double) +
          slot.rank.size() * sizeof(uint32_t) +
+         slot.codes.size() * sizeof(CategoryId) +
          slot.full.prefix_weight.size() * sizeof(double) +
          slot.full.prefix_positive.size() * sizeof(double) +
          slot.full.boundaries.size() * sizeof(size_t);
@@ -127,6 +163,7 @@ void SortedColumnCache::AccountAndEvict(AttrIndex attr) {
     std::vector<RowId>().swap(evicted.order);
     std::vector<double>().swap(evicted.sorted_values);
     std::vector<uint32_t>().swap(evicted.rank);
+    std::vector<CategoryId>().swap(evicted.codes);
     evicted.order_valid = false;
     evicted.full = SortedColumn();
     evicted.full_valid = false;

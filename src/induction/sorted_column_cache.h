@@ -1,4 +1,5 @@
-// Cached sorted views of numeric columns for the condition-search engine.
+// Cached sorted views of numeric columns, and copies of categorical codes,
+// for the condition-search engine.
 //
 // The dominant cost of the naive condition search is re-sorting every
 // numeric attribute on every refinement call. Values never change during
@@ -16,6 +17,9 @@
 // On a demand-paged dataset that is the only fault a numeric search takes
 // per attribute and engine. NaN cells sort after every number and are
 // left out of every SortedColumn — no numeric condition matches NaN.
+// A categorical attribute's slot holds a copy of its codes instead, taken
+// the same way, so categorical scans and coverage never go back to the
+// dataset either.
 
 #ifndef PNR_INDUCTION_SORTED_COLUMN_CACHE_H_
 #define PNR_INDUCTION_SORTED_COLUMN_CACHE_H_
@@ -81,7 +85,7 @@ struct SortedColumn {
   std::vector<double> owned_values;  ///< backing store of a subset column
 };
 
-/// Per-dataset cache of sorted numeric columns.
+/// Per-dataset cache of sorted numeric columns and categorical codes.
 ///
 /// Thread-safety contract (matching the engine's attribute-parallel scans):
 /// concurrent calls are allowed only for *distinct* attributes; the per-attr
@@ -89,9 +93,9 @@ struct SortedColumn {
 /// concurrent calls.
 ///
 /// Bounded-memory mode: set_memory_budget(bytes) caps the resident bytes of
-/// cached orders, sorted values, rank maps and prefix columns. Slots are
-/// evicted LRU when a build pushes the cache over budget; an evicted slot
-/// is simply rebuilt on next use (faulting a paged column again),
+/// cached orders, sorted values, rank maps, prefix columns and code copies.
+/// Slots are evicted LRU when a build pushes the cache over budget; an
+/// evicted slot is simply rebuilt on next use (faulting a paged column again),
 /// deterministically, so results stay bit-identical at any budget.
 /// With a budget set, a caller must hold a Pin on an attribute for as long
 /// as it uses a reference returned for that attribute — eviction skips
@@ -145,6 +149,23 @@ class SortedColumnCache {
   /// dataset's rows or cell values changed (data_version).
   const std::vector<RowId>& SortedOrder(AttrIndex attr);
 
+  /// The non-NaN values of numeric `attr` in SortedOrder.
+  const std::vector<double>& SortedValues(AttrIndex attr);
+
+  /// Every row's position in SortedOrder(attr): below SortedValues(attr)
+  /// .size() the position holds the row's value; a NaN cell ranks past it.
+  const std::vector<uint32_t>& Ranks(AttrIndex attr);
+
+  /// Number of distinct non-NaN values of numeric `attr` (-0.0 equals
+  /// 0.0). Recorded when the order is built and kept when the slot is
+  /// evicted, so it costs a column read only before the first build.
+  size_t DistinctValues(AttrIndex attr);
+
+  /// Copy of categorical `attr`'s codes, indexed by row. Taken on first
+  /// use with the column pinned — the only read of the dataset column —
+  /// and again when the dataset's rows or cells changed (data_version).
+  const std::vector<CategoryId>& Codes(AttrIndex attr);
+
   /// The column over `rows` of `attr` with positives counted for `target`.
   /// When `rows` is the full dataset the result is served from a per-attr
   /// cache keyed on (target, weight_version) — i.e. invalidated only when
@@ -171,12 +192,18 @@ class SortedColumnCache {
   size_t resident_bytes() const;
 
  private:
+  // A numeric slot holds order, sorted_values and rank; a categorical one
+  // holds codes. `order_version`/`order_valid` describe either kind.
   struct PerAttr {
     std::vector<RowId> order;      ///< all rows by (value, row id), NaN last
     std::vector<double> sorted_values;  ///< non-NaN values in `order`
     std::vector<uint32_t> rank;    ///< row -> position in `order`
-    uint64_t order_version = 0;    ///< data_version the order was built at
+    std::vector<CategoryId> codes;  ///< categorical: row -> code
+    uint64_t order_version = 0;    ///< data_version the slot was built at
     bool order_valid = false;
+    size_t distinct = 0;           ///< distinct non-NaN values (numeric)
+    uint64_t distinct_version = 0;
+    bool distinct_valid = false;   ///< survives eviction
 
     SortedColumn full;             ///< column over all rows
     CategoryId full_target = kInvalidCategory;
@@ -193,6 +220,10 @@ class SortedColumnCache {
   /// Builds `attr`'s order, sorted values and rank map when missing or
   /// stale (which also drops the full-row column viewing the old values).
   PerAttr& EnsureOrder(AttrIndex attr);
+  /// Whether `slot` was built at the dataset's current data_version.
+  bool Current(const PerAttr& slot) const {
+    return slot.order_valid && slot.order_version == dataset_.data_version();
+  }
   /// Refreshes `attr`'s byte accounting after a build and evicts LRU
   /// unpinned slots (never `attr` itself) until the budget holds. No-op
   /// when unbounded.

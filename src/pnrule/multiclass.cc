@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "induction/condition_search.h"
 
 namespace pnr {
 
@@ -129,18 +130,19 @@ StatusOr<MultiClassPnruleClassifier> MultiClassPnruleLearner::Train(
 
   std::vector<std::optional<PnruleClassifier>> models(num_classes);
 
-  // Trains one class against `data`, recording the outcome — model slot,
+  // Trains one class through `engine`, recording the outcome — model slot,
   // rule counts, or the learner's failure Status — in the class's report
   // entry. Every write is to per-class slots, so class tasks may run
   // concurrently.
   const auto train_class = [&](size_t cls, const PnruleConfig& config,
-                               const Dataset& data) {
+                               ConditionSearchEngine& engine) {
     ClassTrainStatus& entry = rep.classes[cls];
     Timer timer;
     PnruleTrainInfo info;
     PnruleLearner learner(config);
-    auto model = learner.TrainOnRows(data, data.AllRows(),
-                                     static_cast<CategoryId>(cls), &info);
+    auto model =
+        learner.TrainOnRows(engine, engine.dataset().AllRows(),
+                            static_cast<CategoryId>(cls), &info);
     entry.train_seconds = timer.ElapsedSeconds();
     if (!model.ok()) {
       entry.status = model.status();  // committee falls back on this class
@@ -154,8 +156,12 @@ StatusOr<MultiClassPnruleClassifier> MultiClassPnruleLearner::Train(
 
   const size_t outer_request = ThreadPool::ResolveThreadCount(train_threads_);
   if (outer_request <= 1 && budget_ == nullptr) {
-    // Serial class loop — the exact historical path, config untouched.
-    for (size_t cls : trainable) train_class(cls, config_, dataset);
+    // Serial class loop, config untouched, every class through one engine:
+    // each column is sorted (or its codes copied) and read once for the
+    // whole committee, and the inner thread pool is spun up once.
+    ConditionSearchEngine engine(dataset, config_.num_threads,
+                                 config_.search_cache_budget_bytes);
+    for (size_t cls : trainable) train_class(cls, config_, engine);
   } else if (!trainable.empty()) {
     // Fan the class loop out. A shared budget caps the *sum* of outer
     // class-workers and inner search threads: the outer width is reserved
@@ -180,11 +186,17 @@ StatusOr<MultiClassPnruleClassifier> MultiClassPnruleLearner::Train(
       ThreadBudget::Lease lease = budget->Acquire(budget->total());
       PnruleConfig config = config_;
       config.num_threads = lease.count();
+      // One engine per task: tasks run concurrently and engine calls must
+      // be serial.
+      const auto train_on = [&](const Dataset& data) {
+        ConditionSearchEngine engine(data, config.num_threads,
+                                     config.search_cache_budget_bytes);
+        train_class(trainable[t], config, engine);
+      };
       if (clone_paged) {
-        const Dataset view = dataset.ClonePagedView();
-        train_class(trainable[t], config, view);
+        train_on(dataset.ClonePagedView());
       } else {
-        train_class(trainable[t], config, dataset);
+        train_on(dataset);
       }
     });
   }

@@ -23,13 +23,15 @@ RuleStats FlipStats(const RuleStats& stats) {
 // target-class weight the model must keep; `kept_positive_weight` is what it
 // currently keeps (before this rule). The rn guard: if stopping at the
 // current rule R would drop kept weight below the floor, refinement is
-// forced even when the metric does not improve.
+// forced even when the metric does not improve. `*covered_rows` receives
+// the rows of `remaining` the grown rule covers, in `remaining` order.
 Rule GrowAbsenceRule(ConditionSearchEngine& engine, const RowSubset& remaining,
                      CategoryId target, const RuleMetric& metric,
                      const ClassDistribution& absence_dist,
                      double kept_positive_weight, double recall_floor_weight,
                      size_t max_length, bool enable_range_conditions,
-                     bool legacy_mode, double min_refinement_gain) {
+                     bool legacy_mode, double min_refinement_gain,
+                     RowSubset* covered_rows) {
   const Dataset& dataset = engine.dataset();
   Rule rule;
   RowSubset covered = remaining;
@@ -71,10 +73,11 @@ Rule GrowAbsenceRule(ConditionSearchEngine& engine, const RowSubset& remaining,
     rule.AddCondition(candidate->condition);
     rule.train_stats = FlipStats(candidate->stats);
     current_value = improves ? candidate->value : current_value;
-    covered = rule.CoveredRows(dataset, covered);
+    covered = engine.CoveredRows(candidate->condition, covered);
     rule_erased = candidate->stats.positive;
     if (rule.train_stats.negative() <= 0.0) break;  // pure absence rule
   }
+  *covered_rows = std::move(covered);
   return rule;
 }
 
@@ -92,7 +95,7 @@ NPhaseResult RunNPhase(ConditionSearchEngine& engine,
   const auto metric = MakeRuleMetric(config.metric);
   const bool enable_range =
       config.enable_range_conditions && !config.legacy_mode;
-  const double possible_conditions = CountPossibleConditions(dataset);
+  const double possible_conditions = engine.PossibleConditions();
   const double recall_floor_weight =
       config.n_recall_lower_limit * total_positive_weight;
 
@@ -117,15 +120,17 @@ NPhaseResult RunNPhase(ConditionSearchEngine& engine,
 
     const double kept_positive_weight =
         covered_positive_weight - result.erased_positive_weight;
+    RowSubset covered;
     Rule rule = GrowAbsenceRule(
         engine, remaining, target, *metric, absence_dist,
         kept_positive_weight, recall_floor_weight, config.max_n_rule_length,
-        enable_range, config.legacy_mode, config.min_refinement_gain);
+        enable_range, config.legacy_mode, config.min_refinement_gain,
+        &covered);
     if (rule.empty() || rule.train_stats.positive <= 0.0) break;
 
     const double rule_erased =
         rule.train_stats.negative();  // original-target weight it removes
-    RowSubset uncovered = rule.UncoveredRows(dataset, remaining);
+    RowSubset uncovered = RowsOutside(remaining, covered);
     result.rules.AddRule(rule);
     const double dl = CoverageDescriptionLength(
         dataset, covered_rows, uncovered, target, result.rules,

@@ -15,8 +15,7 @@ Rule GrowPresenceRule(ConditionSearchEngine& engine, const RowSubset& remaining,
                       CategoryId target, const RuleMetric& metric,
                       const ClassDistribution& dist, double min_support_weight,
                       size_t max_length, bool enable_range_conditions,
-                      double min_refinement_gain) {
-  const Dataset& dataset = engine.dataset();
+                      double min_refinement_gain, RowSubset* covered_rows) {
   Rule rule;
   RowSubset covered = remaining;
   // The empty rule covers everything: metric value 0 by construction for
@@ -45,10 +44,11 @@ Rule GrowPresenceRule(ConditionSearchEngine& engine, const RowSubset& remaining,
     rule.AddCondition(candidate->condition);
     rule.train_stats = candidate->stats;
     current_value = candidate->value;
-    covered = rule.CoveredRows(dataset, covered);
+    covered = engine.CoveredRows(candidate->condition, covered);
     // All positives captured and no negatives left: nothing to refine.
     if (candidate->stats.negative() <= 0.0) break;
   }
+  if (covered_rows != nullptr) *covered_rows = std::move(covered);
   return rule;
 }
 
@@ -83,9 +83,11 @@ PPhaseResult RunPPhase(ConditionSearchEngine& engine, const RowSubset& rows,
     dist.negatives = dataset.TotalWeight(remaining) - dist.positives;
     if (dist.positives <= 0.0) break;
 
+    RowSubset covered;
     Rule rule = GrowPresenceRule(engine, remaining, target, *metric, dist,
                                  min_support_weight, config.max_p_rule_length,
-                                 enable_range, config.min_refinement_gain);
+                                 enable_range, config.min_refinement_gain,
+                                 &covered);
     if (rule.empty() || rule.train_stats.positive <= 0.0) break;
 
     if (!config.legacy_mode &&
@@ -96,23 +98,13 @@ PPhaseResult RunPPhase(ConditionSearchEngine& engine, const RowSubset& rows,
       }
     }
 
-    RowSubset covered = rule.CoveredRows(dataset, remaining);
     result.covered_positive_weight += rule.train_stats.positive;
     result.rules.AddRule(std::move(rule));
     // Sequential covering: remove every record the rule supports (positive
     // and negative) before learning the next rule.
-    RowSubset next;
-    next.reserve(remaining.size() - covered.size());
-    size_t c = 0;
-    for (RowId row : remaining) {
-      if (c < covered.size() && covered[c] == row) {
-        ++c;
-        result.covered_rows.push_back(row);
-      } else {
-        next.push_back(row);
-      }
-    }
-    remaining = std::move(next);
+    result.covered_rows.insert(result.covered_rows.end(), covered.begin(),
+                               covered.end());
+    remaining = RowsOutside(remaining, covered);
   }
   return result;
 }

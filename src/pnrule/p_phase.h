@@ -50,12 +50,16 @@ PPhaseResult RunPPhase(const Dataset& dataset, const RowSubset& rows,
 /// earlier rules), judged against `dist` (the remaining-data distribution),
 /// accepting refinements only while the metric improves by at least
 /// `min_refinement_gain` (relative) and support stays above
-/// `min_support_weight`. Exposed for testing and reuse.
+/// `min_support_weight`. `covered_rows`, when non-null, receives the rows
+/// of `remaining` the grown rule covers, in `remaining` order: growth
+/// filters them by each accepted condition through the engine, so the
+/// caller need not evaluate the rule again. Exposed for testing and reuse.
 Rule GrowPresenceRule(ConditionSearchEngine& engine, const RowSubset& remaining,
                       CategoryId target, const RuleMetric& metric,
                       const ClassDistribution& dist, double min_support_weight,
                       size_t max_length, bool enable_range_conditions,
-                      double min_refinement_gain = 0.0);
+                      double min_refinement_gain = 0.0,
+                      RowSubset* covered_rows = nullptr);
 
 /// Convenience overload: builds a transient serial engine.
 Rule GrowPresenceRule(const Dataset& dataset, const RowSubset& remaining,

@@ -104,6 +104,17 @@ StatusOr<PnruleClassifier> PnruleLearner::Train(const Dataset& dataset,
 StatusOr<PnruleClassifier> PnruleLearner::TrainOnRows(
     const Dataset& dataset, const RowSubset& rows, CategoryId target,
     PnruleTrainInfo* info) const {
+  // One engine for the whole run: the sorted-column cache survives across
+  // every refinement of both phases, and the thread pool is spun up once.
+  ConditionSearchEngine engine(dataset, config_.num_threads,
+                               config_.search_cache_budget_bytes);
+  return TrainOnRows(engine, rows, target, info);
+}
+
+StatusOr<PnruleClassifier> PnruleLearner::TrainOnRows(
+    ConditionSearchEngine& engine, const RowSubset& rows, CategoryId target,
+    PnruleTrainInfo* info) const {
+  const Dataset& dataset = engine.dataset();
   Status status = config_.Validate();
   if (!status.ok()) return status;
   if (rows.empty()) {
@@ -114,10 +125,6 @@ StatusOr<PnruleClassifier> PnruleLearner::TrainOnRows(
         "training set has no examples of the target class");
   }
 
-  // One engine for the whole run: the sorted-column cache survives across
-  // every refinement of both phases, and the thread pool is spun up once.
-  ConditionSearchEngine engine(dataset, config_.num_threads,
-                               config_.search_cache_budget_bytes);
   PPhaseResult p_phase = RunPPhase(engine, rows, target, config_);
   NPhaseResult n_phase =
       RunNPhase(engine, p_phase.covered_rows, target,

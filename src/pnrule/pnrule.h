@@ -22,6 +22,8 @@
 
 namespace pnr {
 
+class ConditionSearchEngine;
+
 /// A trained PNrule model: ranked P-rules, ranked N-rules and the
 /// ScoreMatrix that arbitrates their combinations.
 class PnruleClassifier : public BinaryClassifier {
@@ -80,8 +82,19 @@ class PnruleLearner {
                                    CategoryId target) const;
 
   /// Learns from an explicit subset of rows. `info`, when non-null,
-  /// receives training diagnostics.
+  /// receives training diagnostics. Builds a search engine from the
+  /// config's num_threads and search_cache_budget_bytes and delegates to
+  /// the engine overload.
   StatusOr<PnruleClassifier> TrainOnRows(const Dataset& dataset,
+                                         const RowSubset& rows,
+                                         CategoryId target,
+                                         PnruleTrainInfo* info = nullptr) const;
+
+  /// Learns over `rows` of `engine`'s dataset, searching and computing
+  /// coverage through `engine`. Models are identical to the dataset
+  /// overload's; an engine shared by several runs (e.g. every class of a
+  /// one-vs-rest committee) sorts and reads each column once for all.
+  StatusOr<PnruleClassifier> TrainOnRows(ConditionSearchEngine& engine,
                                          const RowSubset& rows,
                                          CategoryId target,
                                          PnruleTrainInfo* info = nullptr) const;

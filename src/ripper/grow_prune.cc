@@ -9,8 +9,10 @@ Rule GrowRuleFoil(ConditionSearchEngine& engine, const RowSubset& grow_rows,
                   CategoryId target, const Rule& seed) {
   const Dataset& dataset = engine.dataset();
   Rule rule = seed;
-  RowSubset covered = rule.empty() ? grow_rows
-                                   : rule.CoveredRows(dataset, grow_rows);
+  RowSubset covered = grow_rows;
+  for (const Condition& condition : rule.conditions()) {
+    covered = engine.CoveredRows(condition, covered);
+  }
   RuleStats parent = rule.Evaluate(dataset, grow_rows, target);
 
   ConditionSearchOptions options;
@@ -27,7 +29,7 @@ Rule GrowRuleFoil(ConditionSearchEngine& engine, const RowSubset& grow_rows,
     const auto candidate = engine.FindBest(covered, target, scorer, options);
     if (!candidate.has_value() || candidate->value <= 0.0) break;
     rule.AddCondition(candidate->condition);
-    covered = rule.CoveredRows(dataset, covered);
+    covered = engine.CoveredRows(candidate->condition, covered);
     parent = candidate->stats;
     rule.train_stats = parent;
   }

@@ -86,11 +86,10 @@ StatusOr<RipperClassifier> RipperLearner::TrainOnRows(
   }
 
   Rng rng(config_.seed);
-  const double possible_conditions = CountPossibleConditions(dataset);
-
   // One engine for the whole run: column sorts are cached across every
   // grow/prune split and optimization pass.
   ConditionSearchEngine engine(dataset, config_.num_threads);
+  const double possible_conditions = engine.PossibleConditions();
   RuleSet rules;
   CoverPositives(engine, rows, rows, target, config_, possible_conditions,
                  &rng, &rules);

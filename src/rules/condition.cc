@@ -42,17 +42,22 @@ Condition Condition::InRange(AttrIndex attr, double lo, double hi) {
 }
 
 bool Condition::Matches(const Dataset& dataset, RowId row) const {
+  if (op == ConditionOp::kCatEqual) {
+    return dataset.categorical(row, attr) == category;
+  }
+  return MatchesNumber(dataset.numeric(row, attr));
+}
+
+bool Condition::MatchesNumber(double value) const {
   switch (op) {
     case ConditionOp::kCatEqual:
-      return dataset.categorical(row, attr) == category;
+      return false;
     case ConditionOp::kLessEqual:
-      return dataset.numeric(row, attr) <= hi;
+      return value <= hi;
     case ConditionOp::kGreater:
-      return dataset.numeric(row, attr) > lo;
-    case ConditionOp::kInRange: {
-      const double v = dataset.numeric(row, attr);
-      return v >= lo && v <= hi;
-    }
+      return value > lo;
+    case ConditionOp::kInRange:
+      return value >= lo && value <= hi;
   }
   return false;
 }

@@ -47,6 +47,10 @@ struct Condition {
   /// True iff the record satisfies the test.
   bool Matches(const Dataset& dataset, RowId row) const;
 
+  /// True iff a cell holding `value` satisfies this numeric test (false
+  /// for NaN).
+  bool MatchesNumber(double value) const;
+
   /// Human-readable form, e.g. "attr2 in [0.35, 0.42]" or "proto = tcp".
   std::string ToString(const Schema& schema) const;
 

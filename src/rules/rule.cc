@@ -85,24 +85,27 @@ RowSubset Rule::CoveredRows(const Dataset& dataset,
 RowSubset Rule::UncoveredRows(const Dataset& dataset,
                               const RowSubset& rows) const {
   if (UseConditionMajor(dataset, conditions_.size())) {
-    // `covered` is a subsequence of `rows`; subtract it in one merge walk.
-    const RowSubset covered =
-        CoveredConditionMajor(conditions_, dataset, rows);
-    RowSubset out;
-    out.reserve(rows.size() - covered.size());
-    size_t c = 0;
-    for (RowId row : rows) {
-      if (c < covered.size() && covered[c] == row) {
-        ++c;
-      } else {
-        out.push_back(row);
-      }
-    }
-    return out;
+    return RowsOutside(rows,
+                       CoveredConditionMajor(conditions_, dataset, rows));
   }
   RowSubset out;
   for (RowId row : rows) {
     if (!Matches(dataset, row)) out.push_back(row);
+  }
+  return out;
+}
+
+RowSubset RowsOutside(const RowSubset& rows, const RowSubset& covered) {
+  // One merge walk: `covered` is a subsequence of `rows`.
+  RowSubset out;
+  out.reserve(rows.size() - covered.size());
+  size_t c = 0;
+  for (RowId row : rows) {
+    if (c < covered.size() && covered[c] == row) {
+      ++c;
+    } else {
+      out.push_back(row);
+    }
   }
   return out;
 }

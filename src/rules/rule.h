@@ -73,6 +73,10 @@ class Rule {
   std::vector<Condition> conditions_;
 };
 
+/// The rows of `rows` that are not in `covered`, which must be a
+/// subsequence of `rows` (e.g. a rule's coverage of them), in `rows` order.
+RowSubset RowsOutside(const RowSubset& rows, const RowSubset& covered);
+
 }  // namespace pnr
 
 #endif  // PNR_RULES_RULE_H_

@@ -340,6 +340,92 @@ TEST(ConditionSearchTest, NanCellsStayOutOfSearchStatistics) {
   }
 }
 
+// --- Coverage from the cache ------------------------------------------------
+
+// x cycles through NaN, both zeros, ties and ordinary values; c through
+// three categories.
+Dataset CoverageDataset() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> xs = {nan, -0.0, 0.0, 1.5, -2.0, 1.5, 3.25, nan,
+                                  0.0, -0.0, 7.0, -2.0};
+  std::vector<testutil::MixedRow> rows;
+  for (size_t i = 0; i < 300; ++i) {
+    rows.push_back({xs[(i * 5) % xs.size()], static_cast<CategoryId>(i % 3),
+                    i % 4 == 0});
+  }
+  return MakeMixedDataset(rows);
+}
+
+std::vector<Condition> EveryKindOfCondition() {
+  std::vector<Condition> conditions;
+  for (CategoryId c = 0; c < 3; ++c) {
+    conditions.push_back(Condition::CatEqual(1, c));
+  }
+  for (double v : {-3.0, -2.0, -0.0, 0.0, 1.0, 1.5, 7.0}) {
+    conditions.push_back(Condition::LessEqual(0, v));
+    conditions.push_back(Condition::Greater(0, v));
+  }
+  conditions.push_back(Condition::InRange(0, -0.0, 0.0));
+  conditions.push_back(Condition::InRange(0, 0.0, 1.5));
+  conditions.push_back(Condition::InRange(0, -2.0, 3.25));
+  return conditions;
+}
+
+RowSubset MatchesFilter(const Dataset& dataset, const Condition& condition,
+                        const RowSubset& rows) {
+  RowSubset out;
+  for (RowId row : rows) {
+    if (condition.Matches(dataset, row)) out.push_back(row);
+  }
+  return out;
+}
+
+// Every row, a strided subset and a gathered one out of row order.
+std::vector<RowSubset> CoverageSubsets(const Dataset& dataset) {
+  RowSubset strided, gathered;
+  for (RowId r = 0; r < dataset.num_rows(); r += 3) strided.push_back(r);
+  Rng rng(99);
+  for (RowId r = 0; r < dataset.num_rows(); ++r) {
+    if (rng.NextBool(0.4)) gathered.push_back(r);
+  }
+  rng.Shuffle(&gathered);
+  return {dataset.AllRows(), strided, gathered};
+}
+
+TEST(ConditionSearchTest, CoveredRowsEqualsMatchesFilter) {
+  const Dataset dataset = CoverageDataset();
+  ConditionSearchEngine engine(dataset);
+  for (const RowSubset& rows : CoverageSubsets(dataset)) {
+    for (const Condition& condition : EveryKindOfCondition()) {
+      EXPECT_EQ(engine.CoveredRows(condition, rows),
+                MatchesFilter(dataset, condition, rows))
+          << condition.ToString(dataset.schema()) << " over " << rows.size()
+          << " rows";
+    }
+  }
+}
+
+TEST(ConditionSearchTest, CoveredRowsOnAWarmPagedEngineFaultsNothing) {
+  const Dataset in_ram = CoverageDataset();
+  // Below one column, so every column switch would be a fault.
+  const Dataset paged = testutil::PagedCopy(
+      in_ram, in_ram.num_rows() * sizeof(CategoryId) / 2);
+  ConditionSearchEngine engine(paged);
+  for (const Condition& condition : EveryKindOfCondition()) {
+    engine.CoveredRows(condition, paged.AllRows());
+  }
+  const uint64_t warm = paged.column_fault_count();
+  EXPECT_LE(warm, paged.schema().num_attributes());
+  for (const RowSubset& rows : CoverageSubsets(in_ram)) {
+    for (const Condition& condition : EveryKindOfCondition()) {
+      EXPECT_EQ(engine.CoveredRows(condition, rows),
+                MatchesFilter(in_ram, condition, rows))
+          << condition.ToString(in_ram.schema());
+    }
+  }
+  EXPECT_EQ(paged.column_fault_count(), warm);
+}
+
 // --- CandidateBetter total order -------------------------------------------
 
 TEST(CandidateBetterTest, OrdersByScoreThenAttrThenKindThenCuts) {

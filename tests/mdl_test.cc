@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "common/math_util.h"
+#include "induction/condition_search.h"
 
 #include "test_util.h"
 
@@ -11,6 +15,7 @@ namespace {
 
 using testutil::kPos;
 using testutil::MakeMixedDataset;
+using testutil::MixedRow;
 
 TEST(MdlTest, RuleTheoryBitsMonotoneInConditions) {
   const double n = 100.0;
@@ -51,6 +56,21 @@ TEST(MdlTest, CountPossibleConditions) {
   });
   // numeric: 3 distinct -> 4; categorical: 3 categories.
   EXPECT_DOUBLE_EQ(CountPossibleConditions(dataset), 7.0);
+}
+
+TEST(MdlTest, CountPossibleConditionsCountsDistinctNumbersOnly) {
+  // NaN cells are no value a cut can split off, and -0.0 equals 0.0: the
+  // column {1, 2, NaN, NaN, NaN, -0.0, 0.0} has 3 distinct values, so 4
+  // cuts; with the 3 categories, 7.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<MixedRow> rows;
+  for (double x : {1.0, 2.0, nan, nan, nan, -0.0, 0.0}) {
+    rows.push_back({x, static_cast<CategoryId>(rows.size() % 3), false});
+  }
+  const Dataset dataset = MakeMixedDataset(rows);
+  EXPECT_DOUBLE_EQ(CountPossibleConditions(dataset), 7.0);
+  ConditionSearchEngine engine(dataset);
+  EXPECT_DOUBLE_EQ(engine.PossibleConditions(), 7.0);
 }
 
 TEST(MdlTest, GoodRuleReducesDescriptionLength) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <optional>
+#include <vector>
 
+#include "induction/condition_search.h"
 #include "pnrule/model_io.h"
 #include "synth/kdd_sim.h"
 
@@ -171,6 +175,69 @@ TEST(MultiClassTest, ClassifyBatchMatchesClassifyWithZeroWeights) {
   for (RowId row = 0; row < kdd.test.num_rows(); ++row) {
     ASSERT_EQ(batched[row], committee->Classify(kdd.test, row))
         << "row " << row;
+  }
+}
+
+// The serial committee trains every class through one search engine. That
+// must be invisible in the models: the committee serializes exactly like
+// one whose classes each train with their own engine, and the shared
+// engine sorts each numeric column once for the whole committee.
+TEST(MultiClassTest, OneEngineForAllClassesMatchesAnEnginePerClass) {
+  // Enough rows that a 4-thread engine scans the full rows in parallel
+  // (ThreadPool::kMinRowsPerThread), so the first search builds the cache
+  // slots — sorted orders and code copies — from pool workers.
+  KddSimParams params;
+  params.train_records = 2 * ThreadPool::kMinRowsPerThread + 1000;
+  params.test_records = 1000;
+  params.seed = 2727;
+  auto kdd = GenerateKddSim(params);
+  ASSERT_TRUE(kdd.ok()) << kdd.status().ToString();
+  const Dataset& train = kdd->train;
+  const Schema& schema = train.schema();
+  const RowSubset rows = train.AllRows();
+
+  size_t non_constant_numeric = 0;
+  const auto num_attrs = static_cast<AttrIndex>(schema.num_attributes());
+  for (AttrIndex attr = 0; attr < num_attrs; ++attr) {
+    if (!schema.attribute(attr).is_numeric()) continue;
+    const std::vector<double>& column = train.numeric_column(attr);
+    const auto [lo, hi] = std::minmax_element(column.begin(), column.end());
+    if (*lo != *hi) ++non_constant_numeric;
+  }
+  ASSERT_GT(non_constant_numeric, 0u);
+
+  for (size_t threads : {1u, 4u}) {
+    PnruleConfig config;
+    config.num_threads = threads;
+    const PnruleLearner learner(config);
+    ConditionSearchEngine engine(train, threads);
+    std::vector<std::optional<PnruleClassifier>> own_engine(
+        schema.num_classes());
+    CategoryId majority = 0;
+    for (size_t cls = 0; cls < schema.num_classes(); ++cls) {
+      const auto target = static_cast<CategoryId>(cls);
+      const size_t count = train.CountClass(target);
+      if (count > train.CountClass(majority)) majority = target;
+      if (count == 0 || count == train.num_rows()) continue;
+      auto alone = learner.TrainOnRows(train, rows, target);
+      auto shared = learner.TrainOnRows(engine, rows, target);
+      ASSERT_TRUE(alone.ok()) << alone.status().ToString();
+      ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+      EXPECT_EQ(SerializePnruleModel(*shared, schema),
+                SerializePnruleModel(*alone, schema))
+          << "class " << cls << ", " << threads << " threads";
+      own_engine[cls] = std::move(alone).value();
+    }
+    EXPECT_EQ(engine.cache().sort_count(), non_constant_numeric)
+        << threads << " threads";
+
+    auto committee = MultiClassPnruleLearner(config).Train(train);
+    ASSERT_TRUE(committee.ok()) << committee.status().ToString();
+    const MultiClassPnruleClassifier reference(std::move(own_engine), {},
+                                               majority);
+    EXPECT_EQ(SerializeMultiClassModel(*committee, schema),
+              SerializeMultiClassModel(reference, schema))
+        << threads << " threads";
   }
 }
 

@@ -11,8 +11,11 @@
 //   * once an engine has built its sorted orders, a numeric search over any
 //     row subset faults nothing — the cache holds the sorted values and
 //     rank maps the search needs;
-//   * the N-phase's MDL check faults nothing: the phase's column traffic is
-//     exactly its rules' growth and coverage passes;
+//   * on such a warm engine the whole N-phase faults nothing: its searches,
+//     its rules' coverage, the possible-condition count and every MDL
+//     check read the engine's cache, weights and labels only;
+//   * a one-vs-rest committee faults each column once for all its classes,
+//     plus its ScoreMatrix sweeps;
 //   * C4.5rules' rule steps (everything after its tree) fault each
 //     attribute the tree's rules reference at most once.
 
@@ -26,6 +29,8 @@
 #include "common/rng.h"
 #include "induction/condition_search.h"
 #include "induction/mdl.h"
+#include "pnrule/model_io.h"
+#include "pnrule/multiclass.h"
 #include "pnrule/n_phase.h"
 #include "pnrule/p_phase.h"
 #include "pnrule/score_matrix.h"
@@ -130,43 +135,62 @@ TEST(PagedFaultBudgetTest, NPhaseMdlCheckAddsNoFaults) {
   const Dataset in_ram = BandsDataset();
   const PnruleConfig config;
   const PPhaseResult p = RunPPhase(in_ram, in_ram.AllRows(), kPos, config);
+  const NPhaseResult reference =
+      RunNPhase(in_ram, p.covered_rows, kPos, p.total_positive_weight,
+                p.covered_positive_weight, config);
 
-  // The phase under test, on an engine whose orders are already built (so
-  // its searches fault nothing), from a known resident column.
+  // The phase under test, on an engine whose orders are already built.
   const Dataset paged = PagedView(in_ram);
   ConditionSearchEngine engine(paged);
   ASSERT_TRUE(engine.FindBest(paged.AllRows(), kPos, PosMinusNeg));
-  paged.numeric_column(0);
   const uint64_t before = paged.column_fault_count();
   const NPhaseResult n =
       RunNPhase(engine, p.covered_rows, kPos, p.total_positive_weight,
                 p.covered_positive_weight, config);
-  const uint64_t phase_faults = paged.column_fault_count() - before;
   ASSERT_GE(n.rules.size(), 2u);
   ASSERT_GE(DistinctAttrs(n.rules), 2u);
+  EXPECT_EQ(paged.column_fault_count(), before);
+  EXPECT_EQ(n.rules.ToString(paged.schema()),
+            reference.rules.ToString(in_ram.schema()));
+  EXPECT_EQ(n.description_lengths, reference.description_lengths);
+}
 
-  // Replay, on a fresh view in the same state, only the column passes the
-  // phase needs besides its searches: the possible-condition count, each
-  // rule's growth (one coverage pass per accepted condition, over the rows
-  // the rule so far covers) and each rule's coverage pass over the rows
-  // still uncovered — the rejected rule's included.
-  const Dataset replay = PagedView(in_ram);
-  replay.numeric_column(0);
-  const uint64_t replay_before = replay.column_fault_count();
-  CountPossibleConditions(replay);
-  std::vector<Rule> rules = n.rules.rules();
-  if (n.rejected_rule.has_value()) rules.push_back(*n.rejected_rule);
-  RowSubset remaining = p.covered_rows;
-  for (const Rule& rule : rules) {
-    Rule grown;
-    RowSubset covered = remaining;
-    for (const Condition& condition : rule.conditions()) {
-      grown.AddCondition(condition);
-      covered = grown.CoveredRows(replay, covered);
-    }
-    remaining = rule.UncoveredRows(replay, remaining);
+TEST(PagedFaultBudgetTest, CommitteeFaultsEachColumnOncePlusScoreMatrix) {
+  KddSimParams params;
+  params.train_records = 3000;
+  params.test_records = 1000;
+  params.seed = 616;
+  auto generated = GenerateKddSim(params);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const Dataset& in_ram = generated->train;
+  const MultiClassPnruleLearner learner;
+  auto reference = learner.Train(in_ram);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+  // Below one categorical column, so every switch of column is a fault.
+  const Dataset paged = testutil::PagedCopy(
+      in_ram, in_ram.num_rows() * sizeof(CategoryId) / 2);
+  auto committee = learner.Train(paged);
+  ASSERT_TRUE(committee.ok()) << committee.status().ToString();
+  EXPECT_EQ(SerializeMultiClassModel(*committee, paged.schema()),
+            SerializeMultiClassModel(*reference, in_ram.schema()));
+
+  // Searches and coverage of every class read the one engine's cache, which
+  // reads each column once; only ScoreMatrix::Build goes back to the
+  // dataset, once per attribute of each rule list.
+  size_t score_matrix_sweeps = 0;
+  size_t classes = 0;
+  for (size_t cls = 0; cls < committee->num_classes(); ++cls) {
+    const PnruleClassifier* model =
+        committee->model_for(static_cast<CategoryId>(cls));
+    if (model == nullptr) continue;
+    ++classes;
+    score_matrix_sweeps +=
+        DistinctAttrs(model->p_rules()) + DistinctAttrs(model->n_rules());
   }
-  EXPECT_EQ(phase_faults, replay.column_fault_count() - replay_before);
+  ASSERT_GE(classes, 3u);
+  EXPECT_LE(paged.column_fault_count(),
+            paged.schema().num_attributes() + score_matrix_sweeps);
 }
 
 TEST(PagedFaultBudgetTest, C45RulesStepsFaultEachRuleColumnOnce) {

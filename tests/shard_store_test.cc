@@ -61,7 +61,9 @@ void ExpectSameData(const Dataset& a, const Dataset& b) {
   for (RowId row = 0; row < a.num_rows(); ++row) {
     EXPECT_EQ(a.label(row), b.label(row)) << "row " << row;
     EXPECT_DOUBLE_EQ(a.weight(row), b.weight(row)) << "row " << row;
-    for (AttrIndex attr = 0; attr < a.schema().num_attributes(); ++attr) {
+    const auto num_attrs =
+        static_cast<AttrIndex>(a.schema().num_attributes());
+    for (AttrIndex attr = 0; attr < num_attrs; ++attr) {
       if (a.schema().attribute(attr).is_numeric()) {
         EXPECT_EQ(a.numeric(row, attr), b.numeric(row, attr))
             << "row " << row << " attr " << attr;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "induction/condition_search.h"
 
 namespace pnr {
 namespace {
@@ -217,6 +218,81 @@ TEST(SortedColumnCacheTest, NanCellsSortLastAndStayOutOfColumns) {
     for (double v : col.values) EXPECT_FALSE(std::isnan(v));
     EXPECT_EQ(col.total_weight, static_cast<double>(valued.size()));
     EXPECT_DOUBLE_EQ(col.total_positive, dataset.ClassWeight(valued, kPos));
+  }
+}
+
+// Two numeric attributes and a categorical one ("c", four values) whose
+// value leans positive.
+Dataset MakeMixedDataset(size_t num_rows, uint64_t seed) {
+  Schema schema;
+  schema.AddAttribute(Attribute::Numeric("x"));
+  schema.AddAttribute(Attribute::Numeric("y"));
+  schema.AddAttribute(Attribute::Categorical("c", {"a", "b", "c", "d"}));
+  schema.GetOrAddClass("neg");
+  schema.GetOrAddClass("pos");
+  Dataset dataset(std::move(schema));
+  Rng rng(seed);
+  for (size_t i = 0; i < num_rows; ++i) {
+    const RowId r = dataset.AddRow();
+    dataset.set_numeric(r, 0, std::floor(rng.NextDouble(0, 5)));
+    dataset.set_numeric(r, 1, rng.NextDouble(-1, 1));
+    const auto c = static_cast<CategoryId>(rng.NextBelow(4));
+    dataset.set_categorical(r, 2, c);
+    dataset.set_label(r, rng.NextBool(c == 1 ? 0.7 : 0.2) ? kPos : 0);
+  }
+  return dataset;
+}
+
+TEST(SortedColumnCacheTest, CodeCopiesCountInTheBudgetAndAreEvicted) {
+  const Dataset dataset = MakeMixedDataset(300, 9);
+  SortedColumnCache cache(dataset);
+  cache.set_memory_budget(1);  // every build evicts every other slot
+  EXPECT_EQ(cache.Codes(2), dataset.categorical_column(2));
+  EXPECT_EQ(cache.resident_bytes(), 300 * sizeof(CategoryId));
+
+  cache.SortedOrder(0);
+  EXPECT_EQ(cache.evict_count(), 1u) << "the code copy made room";
+  EXPECT_EQ(cache.resident_bytes(),
+            300 * (sizeof(RowId) + sizeof(double) + sizeof(uint32_t)));
+
+  EXPECT_EQ(cache.Codes(2), dataset.categorical_column(2)) << "rebuilt";
+  EXPECT_EQ(cache.evict_count(), 2u);
+  EXPECT_EQ(cache.resident_bytes(), 300 * sizeof(CategoryId));
+}
+
+TEST(SortedColumnCacheTest, SearchAndCoverageAreBitIdenticalAtAnyBudget) {
+  const Dataset dataset = MakeMixedDataset(2000, 10);
+  RowSubset all = dataset.AllRows();
+  RowSubset small, large;
+  for (RowId r = 0; r < dataset.num_rows(); ++r) {
+    if (r % 40 == 3) small.push_back(r);
+    if (r % 5 != 2) large.push_back(r);
+  }
+  const auto scorer = [](const RuleStats& stats) {
+    return stats.positive - stats.negative();
+  };
+  ConditionSearchEngine reference(dataset);
+  for (size_t budget : {size_t{1}, 2000 * sizeof(CategoryId),
+                        2000 * sizeof(double) * 3}) {
+    ConditionSearchEngine engine(dataset, 1, budget);
+    for (const RowSubset* rows :
+         {&large, &small, &all, &large, &small}) {
+      const auto best = engine.FindBest(*rows, kPos, scorer);
+      const auto expected = reference.FindBest(*rows, kPos, scorer);
+      ASSERT_TRUE(best.has_value() && expected.has_value());
+      EXPECT_EQ(best->condition, expected->condition) << budget;
+      EXPECT_EQ(best->stats.covered, expected->stats.covered) << budget;
+      EXPECT_EQ(best->stats.positive, expected->stats.positive) << budget;
+      EXPECT_EQ(best->value, expected->value) << budget;
+      for (const Condition& condition :
+           {best->condition, Condition::CatEqual(2, 1),
+            Condition::LessEqual(0, 2.0)}) {
+        EXPECT_EQ(engine.CoveredRows(condition, *rows),
+                  reference.CoveredRows(condition, *rows))
+            << budget;
+      }
+    }
+    EXPECT_EQ(engine.PossibleConditions(), reference.PossibleConditions());
   }
 }
 

@@ -226,7 +226,9 @@ TEST(TrainShardedTest, ZonemapPruningSkipsConstantColumns) {
   Dataset padded(std::move(schema));
   padded.AppendRows(base.num_rows());
   for (RowId row = 0; row < base.num_rows(); ++row) {
-    for (AttrIndex attr = 0; attr < base.schema().num_attributes(); ++attr) {
+    const auto num_attrs =
+        static_cast<AttrIndex>(base.schema().num_attributes());
+    for (AttrIndex attr = 0; attr < num_attrs; ++attr) {
       if (base.schema().attribute(attr).is_numeric()) {
         padded.set_numeric(row, attr, base.numeric(row, attr));
       } else {
