@@ -37,8 +37,6 @@ double SmoothedPsi(const std::vector<uint64_t>& reference,
 DriftDetector::DriftDetector(const Schema* schema, DriftOptions options)
     : schema_(schema), options_(options) {
   assert(schema_ != nullptr);
-  assert(options_.reference_windows > 0);
-  assert(options_.confirm_windows > 0);
   assert(options_.numeric_bins >= 2);
   const size_t num_attrs = schema_->num_attributes();
   numeric_.resize(num_attrs);

@@ -52,7 +52,8 @@
 namespace pnr {
 
 struct DriftOptions {
-  /// Windows that build the reference after each baseline reset.
+  /// Windows that build the reference after each baseline reset; > 0
+  /// (StreamEngine::Start rejects 0, as it does for confirm_windows).
   size_t reference_windows = 4;
   /// Per-feature PSI trigger.
   double psi_threshold = 0.25;

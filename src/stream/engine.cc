@@ -22,7 +22,6 @@ StreamEngine::StreamEngine(const Schema* schema, ModelRegistry* registry,
       buffer_(*schema),
       model_path_(options_.model_path) {
   assert(schema_ != nullptr);
-  assert(options_.window_rows > 0);
 }
 
 Status StreamEngine::RestoreCheckpoint(const StreamCheckpoint& checkpoint) {
@@ -52,6 +51,18 @@ Status StreamEngine::RestoreCheckpoint(const StreamCheckpoint& checkpoint) {
 }
 
 Status StreamEngine::Start() {
+  // Each zero would stall or short-circuit the loop: no window ever fills,
+  // no reference is ever built, or every window confirms drift.
+  if (options_.window_rows == 0) {
+    return Status::InvalidArgument("stream: window_rows must be > 0");
+  }
+  if (options_.drift.reference_windows == 0) {
+    return Status::InvalidArgument(
+        "stream: drift.reference_windows must be > 0");
+  }
+  if (options_.drift.confirm_windows == 0) {
+    return Status::InvalidArgument("stream: drift.confirm_windows must be > 0");
+  }
   model_ = registry_->Get(options_.retrain.model_name);
   if (model_ == nullptr) {
     return Status::NotFound("stream: no model named '" +

@@ -116,6 +116,8 @@ class StreamEngine {
 
   /// Resolves the current model from the registry. Call after the initial
   /// (or checkpointed) model was installed and before the first Pump().
+  /// InvalidArgument when window_rows, drift.reference_windows or
+  /// drift.confirm_windows is 0.
   Status Start();
 
   /// Appends one schema-valid row to the rolling buffer. Labels may be

@@ -1003,6 +1003,41 @@ TEST(StreamEngineTest, StartFailsWithoutAModel) {
   EXPECT_NE(started.message().find("no model named"), std::string::npos);
 }
 
+// Each zero used to be an assert compiled out of release builds: window 0
+// spun Pump forever, confirm_windows 0 confirmed drift on every window.
+// Start() now rejects all three with a located error, even with a model
+// installed.
+TEST(StreamEngineTest, StartRejectsZeroWindowCounts) {
+  const Scenario& scenario = SharedScenario();
+  struct Case {
+    const char* field;
+    void (*zero)(StreamEngineOptions*);
+  };
+  const Case cases[] = {
+      {"window_rows", [](StreamEngineOptions* o) { o->window_rows = 0; }},
+      {"drift.reference_windows",
+       [](StreamEngineOptions* o) { o->drift.reference_windows = 0; }},
+      {"drift.confirm_windows",
+       [](StreamEngineOptions* o) { o->drift.confirm_windows = 0; }},
+  };
+  for (const Case& c : cases) {
+    ModelRegistry registry;
+    auto base = ParsePnruleModel(scenario.base_model_text, scenario.schema);
+    ASSERT_TRUE(base.ok()) << base.status().ToString();
+    registry.Install("stream", scenario.schema, std::move(base).value());
+    ThreadBudget budget(2);
+    RunConfig config{.tag = "zero"};
+    StreamEngineOptions options =
+        MakeEngineOptions(scenario, config, ::testing::TempDir());
+    c.zero(&options);
+    StreamEngine engine(&scenario.schema, &registry, &budget, options);
+    const Status started = engine.Start();
+    EXPECT_EQ(started.code(), StatusCode::kInvalidArgument) << c.field;
+    EXPECT_NE(started.message().find(c.field), std::string::npos)
+        << started.ToString();
+  }
+}
+
 TEST(StreamEngineTest, RestoreRejectsMismatchedWindowSize) {
   const Scenario& scenario = SharedScenario();
   ModelRegistry registry;
