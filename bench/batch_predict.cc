@@ -11,7 +11,10 @@
 //
 // The JSON also records two correctness bits per model: whether the
 // compiled scores are bitwise identical to the interpreted ones, and
-// whether they are bitwise identical across thread counts 1/2/8.
+// whether they are bitwise identical across thread counts 1/2/8. It
+// records the core count and the time basis too; a thread count above the
+// core count is still checked for identity, but its time is reported as
+// "not measured".
 
 #include <benchmark/benchmark.h>
 
@@ -23,10 +26,11 @@
 #include <functional>
 #include <numeric>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "c45/tree_classifier.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "eval/classifier.h"
 #include "pnrule/multiclass.h"
@@ -142,7 +146,7 @@ BENCHMARK(BM_C45TreeCompiled)->Arg(1)->Arg(2)->Arg(8)->Unit(
 
 // One-vs-rest committee shared by the multiclass benchmarks. `zero_weight`
 // gives the majority class weight 0, which ClassifyBatch answers by
-// skipping that class's whole ScoreBatch pass.
+// skipping that class's lists on every block.
 const MultiClassPnruleClassifier& SharedMultiClass(bool zero_weight) {
   auto train = [](bool zeroed) {
     MultiClassPnruleLearner learner;
@@ -181,11 +185,25 @@ void BM_MultiClassPerRow(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiClassPerRow)->Unit(benchmark::kMillisecond);
 
-void MultiClassBatchBody(benchmark::State& state, bool zero_weight) {
+// Every row id once: in order, or shuffled (a held-out split's scattered
+// ids, which ClassifyBatch gathers once per block and attribute).
+std::vector<RowId> RowOrder(size_t count, bool shuffled) {
+  std::vector<RowId> rows(count);
+  std::iota(rows.begin(), rows.end(), RowId{0});
+  if (shuffled) {
+    Rng rng(20011);
+    for (size_t i = rows.size(); i > 1; --i) {
+      std::swap(rows[i - 1], rows[rng.NextBelow(i)]);
+    }
+  }
+  return rows;
+}
+
+void MultiClassBatchBody(benchmark::State& state, bool zero_weight,
+                         bool shuffled = false) {
   const Dataset& data = SharedKdd();
   const MultiClassPnruleClassifier& model = SharedMultiClass(zero_weight);
-  std::vector<RowId> rows(data.num_rows());
-  std::iota(rows.begin(), rows.end(), RowId{0});
+  const std::vector<RowId> rows = RowOrder(data.num_rows(), shuffled);
   std::vector<CategoryId> predicted(rows.size());
   BatchScoreOptions options;
   options.num_threads = static_cast<size_t>(state.range(0));
@@ -202,6 +220,12 @@ void BM_MultiClassCompiledBatch(benchmark::State& state) {
   MultiClassBatchBody(state, /*zero_weight=*/false);
 }
 BENCHMARK(BM_MultiClassCompiledBatch)->Arg(1)->Arg(2)->Arg(8)->Unit(
+    benchmark::kMillisecond);
+
+void BM_MultiClassCompiledBatchShuffled(benchmark::State& state) {
+  MultiClassBatchBody(state, /*zero_weight=*/false, /*shuffled=*/true);
+}
+BENCHMARK(BM_MultiClassCompiledBatchShuffled)->Arg(1)->Arg(2)->Arg(8)->Unit(
     benchmark::kMillisecond);
 
 void BM_MultiClassCompiledBatchZeroWeight(benchmark::State& state) {
@@ -240,6 +264,14 @@ std::string Fmt(const char* fmt, double value) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), fmt, value);
   return buf;
+}
+
+size_t Cores() { return ThreadPool::ResolveThreadCount(0); }
+
+// A timing at `threads` workers, or "not measured" when the box has fewer
+// cores than that: more threads than cores only time-slice.
+std::string Timed(const char* fmt, double value, size_t threads) {
+  return threads > Cores() ? "\"not measured\"" : Fmt(fmt, value);
 }
 
 struct ModelReport {
@@ -299,8 +331,10 @@ ModelReport CompareModel(const std::string& name,
                    ", \"threads_effective\": " +
                    std::to_string(ThreadPool::ClampThreadsForRows(
                        thread_counts[t], rows.size())) +
-                   ", \"ms_per_pass\": " + Fmt("%.4f", ms) +
-                   ", \"speedup_vs_interpreted\": " + Fmt("%.2f", speedup) +
+                   ", \"ms_per_pass\": " +
+                   Timed("%.4f", ms, thread_counts[t]) +
+                   ", \"speedup_vs_interpreted\": " +
+                   Timed("%.2f", speedup, thread_counts[t]) +
                    ", \"bitwise_equal_to_interpreted\": " +
                    (vs_interpreted ? "true" : "false") + "}";
     report.json += t + 1 < 3 ? ",\n" : "\n";
@@ -319,17 +353,15 @@ struct MultiClassReport {
   bool identical_across_threads = false;
 };
 
-// Per-row Classify against the batched ClassifyBatch path (which hoists its
-// score scratch into thread_locals and skips zero-weight classes outright).
-// Also times the committee with the majority class zero-weighted: the skip
-// drops that class's entire ScoreBatch pass, so the delta against the
-// all-weights committee is the pass it no longer pays for.
+// Per-row Classify against the batched ClassifyBatch path (one program
+// for every class's lists, each block bound once), over the rows in order
+// and shuffled. Also times the committee with the majority class
+// zero-weighted: ClassifyBatch skips that class's lists on every block.
 MultiClassReport CompareMultiClass(int iterations) {
   const Dataset& data = SharedKdd();
-  std::vector<RowId> rows(data.num_rows());
-  std::iota(rows.begin(), rows.end(), RowId{0});
   const MultiClassPnruleClassifier& model = SharedMultiClass(false);
   const MultiClassPnruleClassifier& zeroed = SharedMultiClass(true);
+  const std::vector<RowId> rows = RowOrder(data.num_rows(), false);
 
   std::vector<CategoryId> per_row(rows.size());
   const double per_row_ms = MillisPerCall(
@@ -348,36 +380,43 @@ MultiClassReport CompareMultiClass(int iterations) {
                  std::to_string(model.num_classes()) + ",\n";
   report.json += "    \"per_row_ms_per_pass\": " + Fmt("%.4f", per_row_ms) +
                  ",\n";
-  report.json += "    \"batched\": [\n";
-  std::vector<CategoryId> reference;
-  const size_t thread_counts[] = {1, 2, 8};
-  for (size_t t = 0; t < 3; ++t) {
-    BatchScoreOptions options;
-    options.num_threads = thread_counts[t];
-    std::vector<CategoryId> predicted(rows.size());
-    const double ms = MillisPerCall(
-        [&] {
-          model.ClassifyBatch(data, rows.data(), rows.size(),
-                              predicted.data(), options);
-        },
-        iterations);
-    const bool vs_per_row = predicted == per_row;
-    report.matches_per_row = report.matches_per_row && vs_per_row;
-    if (t == 0) {
-      reference = predicted;
-    } else {
-      report.identical_across_threads =
-          report.identical_across_threads && predicted == reference;
+  for (const bool shuffled : {false, true}) {
+    const std::vector<RowId> order = RowOrder(data.num_rows(), shuffled);
+    std::vector<CategoryId> expected(order.size());
+    for (size_t i = 0; i < order.size(); ++i) expected[i] = per_row[order[i]];
+    report.json += shuffled ? "    \"batched_shuffled\": [\n"
+                            : "    \"batched\": [\n";
+    std::vector<CategoryId> reference;
+    const size_t thread_counts[] = {1, 2, 8};
+    for (size_t t = 0; t < 3; ++t) {
+      BatchScoreOptions options;
+      options.num_threads = thread_counts[t];
+      std::vector<CategoryId> predicted(order.size());
+      const double ms = MillisPerCall(
+          [&] {
+            model.ClassifyBatch(data, order.data(), order.size(),
+                                predicted.data(), options);
+          },
+          iterations);
+      const bool vs_per_row = predicted == expected;
+      report.matches_per_row = report.matches_per_row && vs_per_row;
+      if (t == 0) {
+        reference = predicted;
+      } else {
+        report.identical_across_threads =
+            report.identical_across_threads && predicted == reference;
+      }
+      report.json +=
+          "      {\"threads\": " + std::to_string(thread_counts[t]) +
+          ", \"ms_per_pass\": " + Timed("%.4f", ms, thread_counts[t]) +
+          ", \"speedup_vs_per_row\": " +
+          Timed("%.2f", ms > 0.0 ? per_row_ms / ms : 0.0, thread_counts[t]) +
+          ", \"identical_to_per_row\": " + (vs_per_row ? "true" : "false") +
+          "}";
+      report.json += t + 1 < 3 ? ",\n" : "\n";
     }
-    report.json += "      {\"threads\": " + std::to_string(thread_counts[t]) +
-                   ", \"ms_per_pass\": " + Fmt("%.4f", ms) +
-                   ", \"speedup_vs_per_row\": " +
-                   Fmt("%.2f", ms > 0.0 ? per_row_ms / ms : 0.0) +
-                   ", \"identical_to_per_row\": " +
-                   (vs_per_row ? "true" : "false") + "}";
-    report.json += t + 1 < 3 ? ",\n" : "\n";
+    report.json += "    ],\n";
   }
-  report.json += "    ],\n";
 
   // The zero-weight committee is a different model (its own predictions),
   // so it is gated on batched-equals-per-row for itself, not on `model`.
@@ -422,8 +461,8 @@ int WriteBatchPredictComparison(const char* path) {
           ", \"target\": \"probe\"},\n";
   json += "  \"iterations\": " + std::to_string(iterations) + ",\n";
   json += "  \"timing\": \"best-of-iterations process-CPU ms per pass\",\n";
-  json += "  \"hardware_threads\": " +
-          std::to_string(std::thread::hardware_concurrency()) + ",\n";
+  json += "  \"time_basis\": \"process CPU time, all threads\",\n";
+  json += "  \"cores\": " + std::to_string(Cores()) + ",\n";
   json += "  \"min_rows_per_thread\": " +
           std::to_string(ThreadPool::kMinRowsPerThread) + ",\n";
   json += "  \"models\": [\n";

@@ -35,8 +35,9 @@ void AssocClassifier::ScoreBatch(const Dataset& dataset, const RowId* rows,
                     thread_local CompiledRuleSet::Scratch scratch;
                     thread_local std::vector<int32_t> first;
                     first.resize(n);
-                    compiled_.FirstMatchBlock(dataset, rows + begin, n,
-                                              first.data(), &scratch);
+                    compiled_.BeginBlock(dataset, rows + begin, n,
+                                         &scratch);
+                    compiled_.FirstMatchBlock(0, first.data(), &scratch);
                     for (size_t i = 0; i < n; ++i) {
                       out[begin + i] =
                           first[i] == kNoRule

@@ -1,5 +1,10 @@
 // Dense bitmask over row indices, used by C4.5rules' generalization and
 // rule-subset selection to make repeated coverage queries cheap.
+//
+// The set-bit counts (Count, CountAnd, CountAndNot) run through word-span
+// kernels chosen once per process: the CPU's popcnt instruction when it
+// has one, else a portable count. The build targets baseline x86-64, where
+// a plain std::popcount compiles to a libgcc call per word.
 
 #ifndef PNR_COMMON_BITMASK_H_
 #define PNR_COMMON_BITMASK_H_
@@ -11,6 +16,21 @@
 #include <vector>
 
 namespace pnr {
+
+/// Set-bit count kernels over spans of 64-bit mask words.
+struct PopcountKernels {
+  const char* name;
+  size_t (*count)(const uint64_t* a, size_t n);
+  size_t (*count_and)(const uint64_t* a, const uint64_t* b, size_t n);
+  size_t (*count_and_not)(const uint64_t* a, const uint64_t* b, size_t n);
+};
+
+/// Every tier this CPU can run, portable first and widest last. All tiers
+/// return identical counts.
+const std::vector<PopcountKernels>& SupportedPopcountKernels();
+
+/// The widest supported tier, resolved on first use.
+const PopcountKernels& ActivePopcountKernels();
 
 /// Fixed-size bit vector with block-wise boolean algebra.
 class BitMask {
@@ -42,9 +62,7 @@ class BitMask {
 
   /// Number of set bits.
   size_t Count() const {
-    size_t count = 0;
-    for (uint64_t block : blocks_) count += std::popcount(block);
-    return count;
+    return ActivePopcountKernels().count(blocks_.data(), blocks_.size());
   }
 
   /// True iff any bit is set.
@@ -58,21 +76,17 @@ class BitMask {
   /// Number of set bits in (*this & other).
   size_t CountAnd(const BitMask& other) const {
     assert(size_ == other.size_);
-    size_t count = 0;
-    for (size_t i = 0; i < blocks_.size(); ++i) {
-      count += std::popcount(blocks_[i] & other.blocks_[i]);
-    }
-    return count;
+    return ActivePopcountKernels().count_and(blocks_.data(),
+                                             other.blocks_.data(),
+                                             blocks_.size());
   }
 
   /// Number of set bits in (*this & ~other).
   size_t CountAndNot(const BitMask& other) const {
     assert(size_ == other.size_);
-    size_t count = 0;
-    for (size_t i = 0; i < blocks_.size(); ++i) {
-      count += std::popcount(blocks_[i] & ~other.blocks_[i]);
-    }
-    return count;
+    return ActivePopcountKernels().count_and_not(blocks_.data(),
+                                                 other.blocks_.data(),
+                                                 blocks_.size());
   }
 
   BitMask& operator&=(const BitMask& other) {

@@ -250,6 +250,10 @@ StatusOr<MultiClassPnruleClassifier> ParseMultiClassModel(
       return cursor.Error("expected 'class " + std::to_string(cls) +
                           " <weight> absent|model <lines>'");
     }
+    if (!IsValidClassWeight(weights[cls])) {
+      return cursor.Error("class " + std::to_string(cls) +
+                          " weight must be finite and >= 0");
+    }
     if (kind == "absent") {
       if (!fields.Exhausted()) {
         return cursor.Error("trailing tokens after 'absent'");

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -21,6 +23,13 @@ MultiClassPnruleClassifier::MultiClassPnruleClassifier(
     class_weights_.assign(models_.size(), 1.0);
   }
   assert(class_weights_.size() == models_.size());
+  const RuleSet none;
+  std::vector<const RuleSet*> lists;
+  for (const auto& model : models_) {
+    lists.push_back(model.has_value() ? &model->p_rules() : &none);
+    lists.push_back(model.has_value() ? &model->n_rules() : &none);
+  }
+  program_ = CompiledRuleSet::Compile(lists);
 }
 
 double MultiClassPnruleClassifier::Score(const Dataset& dataset, RowId row,
@@ -48,32 +57,42 @@ CategoryId MultiClassPnruleClassifier::Classify(const Dataset& dataset,
 void MultiClassPnruleClassifier::ClassifyBatch(
     const Dataset& dataset, const RowId* rows, size_t count, CategoryId* out,
     const BatchScoreOptions& options) const {
-  if (count == 0) return;
-  std::fill(out, out + count, default_class_);
-  // thread_local so a caller classifying block after block (the CLI's
-  // prediction loop, MultiClassAccuracy) reuses the score scratch instead
-  // of allocating two vectors per call. Both are fully re-initialized
-  // below, so reuse cannot perturb predictions.
-  thread_local std::vector<double> best_score;
-  thread_local std::vector<double> cls_score;
-  best_score.assign(count, 0.0);
-  cls_score.resize(count);
-  for (size_t cls = 0; cls < models_.size(); ++cls) {
-    if (!models_[cls].has_value()) continue;
-    const double weight = class_weights_[cls];
-    // A zero-weight class can never win: scores are non-negative, the
-    // running best starts at 0, and the comparison is strict. Skip its
-    // whole ScoreBatch pass.
-    if (weight == 0.0) continue;
-    models_[cls]->ScoreBatch(dataset, rows, count, cls_score.data(), options);
-    for (size_t i = 0; i < count; ++i) {
-      const double score = weight * cls_score[i];
-      if (score > best_score[i]) {
-        best_score[i] = score;
-        out[i] = static_cast<CategoryId>(cls);
+  ForEachRowBlock(count, ClampOptionsForDataset(dataset, options),
+                  [&](size_t begin, size_t end) {
+    const size_t n = end - begin;
+    // thread_local so consecutive blocks on a worker reuse the buffers;
+    // each is fully re-initialized per block, so reuse cannot perturb
+    // predictions.
+    thread_local CompiledRuleSet::Scratch scratch;
+    thread_local std::vector<int32_t> p_first;
+    thread_local std::vector<int32_t> n_first;
+    thread_local std::vector<double> best;
+    p_first.resize(n);
+    n_first.resize(n);
+    best.assign(n, 0.0);
+    std::fill(out + begin, out + end, default_class_);
+    program_.BeginBlock(dataset, rows + begin, n, &scratch);
+    for (size_t cls = 0; cls < models_.size(); ++cls) {
+      const double weight = class_weights_[cls];
+      if (!models_[cls].has_value() || weight == 0.0) continue;
+      program_.FirstMatchBlock(2 * cls, p_first.data(), &scratch);
+      BitMask p_matched(n);
+      for (size_t i = 0; i < n; ++i) {
+        if (p_first[i] != kNoRule) p_matched.Set(i);
       }
+      if (!p_matched.AnySet()) continue;
+      program_.FirstMatchBlock(2 * cls + 1, n_first.data(), &scratch,
+                               &p_matched);
+      const PnruleClassifier& model = *models_[cls];
+      p_matched.ForEachSet([&](size_t i) {
+        const double score = weight * model.ScoreOf(p_first[i], n_first[i]);
+        if (score > best[i]) {
+          best[i] = score;
+          out[begin + i] = static_cast<CategoryId>(cls);
+        }
+      });
     }
-  }
+  });
 }
 
 const PnruleClassifier* MultiClassPnruleClassifier::model_for(
@@ -97,6 +116,13 @@ StatusOr<MultiClassPnruleClassifier> MultiClassPnruleLearner::Train(
   if (!class_weights_.empty() && class_weights_.size() != num_classes) {
     return Status::InvalidArgument(
         "class_weights must match the number of classes");
+  }
+  for (const double weight : class_weights_) {
+    if (!IsValidClassWeight(weight)) {
+      return Status::InvalidArgument(
+          "class weights must be finite and >= 0, got " +
+          std::to_string(weight));
+    }
   }
 
   MultiClassTrainReport local_report;

@@ -18,6 +18,7 @@
 #ifndef PNR_PNRULE_MULTICLASS_H_
 #define PNR_PNRULE_MULTICLASS_H_
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,6 +28,12 @@
 #include "pnrule/pnrule.h"
 
 namespace pnr {
+
+/// True iff `weight` may scale a committee class's scores: finite and >= 0,
+/// so a weighted score stays a non-negative number.
+inline bool IsValidClassWeight(double weight) {
+  return std::isfinite(weight) && weight >= 0.0;
+}
 
 /// One-vs-rest committee of binary PNrule models.
 class MultiClassPnruleClassifier {
@@ -43,11 +50,15 @@ class MultiClassPnruleClassifier {
   /// zero.
   CategoryId Classify(const Dataset& dataset, RowId row) const;
 
-  /// Batched Classify: one compiled ScoreBatch pass per class over the
-  /// whole row block instead of scoring every class per row. Bit-identical
-  /// to Classify (same weight multiply, same ascending-class strict-`>`
-  /// tie-break). Zero-weight classes are skipped outright — their scores
-  /// can never beat the non-negative running best.
+  /// Batched Classify over one compiled program holding every class's P-
+  /// and N-list: each row block is bound once (its scattered rows gathered
+  /// once per attribute, each distinct condition evaluated at most once),
+  /// then the classes resolve in ascending order — P, then N on the
+  /// P-matched rows, then weight * ScoreMatrix cell against the running
+  /// best. Bit-identical to Classify (same weight multiply, same
+  /// ascending-class strict-`>` tie-break). Zero-weight classes are skipped
+  /// outright, as are rows no P-rule matched — their scores can never beat
+  /// the non-negative running best.
   void ClassifyBatch(const Dataset& dataset, const RowId* rows, size_t count,
                      CategoryId* out,
                      const BatchScoreOptions& options = {}) const;
@@ -68,6 +79,9 @@ class MultiClassPnruleClassifier {
   std::vector<std::optional<PnruleClassifier>> models_;  // by class id
   std::vector<double> class_weights_;
   CategoryId default_class_;
+  /// Every class's lists: 2c is class c's P-list, 2c + 1 its N-list (both
+  /// empty for a class without a model).
+  CompiledRuleSet program_;
 };
 
 /// Outcome of one class's training attempt, for the training report.
@@ -95,7 +109,8 @@ class MultiClassPnruleLearner {
   explicit MultiClassPnruleLearner(PnruleConfig config = {});
 
   /// Per-class score weights (misclassification-cost surrogate): the score
-  /// of class c is multiplied by weights[c]. Empty = all 1.
+  /// of class c is multiplied by weights[c]. Empty = all 1. Train rejects
+  /// a weight that is not finite and >= 0.
   void set_class_weights(std::vector<double> weights) {
     class_weights_ = std::move(weights);
   }

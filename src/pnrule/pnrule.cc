@@ -14,19 +14,12 @@ PnruleClassifier::PnruleClassifier(RuleSet p_rules, RuleSet n_rules,
       n_rules_(std::move(n_rules)),
       scores_(std::move(scores)),
       use_score_matrix_(use_score_matrix),
-      compiled_p_(CompiledRuleSet::Compile(p_rules_)),
-      compiled_n_(CompiledRuleSet::Compile(n_rules_)) {}
+      program_(CompiledRuleSet::Compile({&p_rules_, &n_rules_})) {}
 
 double PnruleClassifier::Score(const Dataset& dataset, RowId row) const {
   const int p = p_rules_.FirstMatch(dataset, row);
   if (p == kNoRule) return 0.0;
-  const int n = n_rules_.FirstMatch(dataset, row);
-  if (!use_score_matrix_) {
-    return n == kNoRule ? 1.0 : 0.0;
-  }
-  const size_t n_index =
-      n == kNoRule ? n_rules_.size() : static_cast<size_t>(n);
-  return scores_.Score(static_cast<size_t>(p), n_index);
+  return ScoreOf(p, n_rules_.FirstMatch(dataset, row));
 }
 
 void PnruleClassifier::ScoreBatch(const Dataset& dataset, const RowId* rows,
@@ -42,41 +35,22 @@ void PnruleClassifier::ScoreBatch(const Dataset& dataset, const RowId* rows,
     thread_local std::vector<int32_t> p_first;
     thread_local std::vector<int32_t> n_first;
     p_first.resize(n);
-    compiled_p_.FirstMatchBlock(dataset, rows + begin, n, p_first.data(),
-                                &scratch);
+    program_.BeginBlock(dataset, rows + begin, n, &scratch);
+    program_.FirstMatchBlock(kPList, p_first.data(), &scratch);
     // N-rules only arbitrate rows some P-rule claimed — pass the P-coverage
     // mask as the candidate set, so a rare-class block resolves N-rules
     // only for its few P-matched rows (or skips the sweep entirely).
+    std::fill(out + begin, out + end, 0.0);
     BitMask p_matched(n);
-    bool any_p = false;
     for (size_t i = 0; i < n; ++i) {
-      if (p_first[i] != kNoRule) {
-        p_matched.Set(i);
-        any_p = true;
-      }
+      if (p_first[i] != kNoRule) p_matched.Set(i);
     }
-    if (!any_p) {
-      std::fill(out + begin, out + end, 0.0);
-      return;
-    }
+    if (!p_matched.AnySet()) return;
     n_first.resize(n);
-    compiled_n_.FirstMatchBlock(dataset, rows + begin, n, n_first.data(),
-                                &scratch, &p_matched);
-    for (size_t i = 0; i < n; ++i) {
-      const int32_t p = p_first[i];
-      if (p == kNoRule) {
-        out[begin + i] = 0.0;
-        continue;
-      }
-      const int32_t match = n_first[i];
-      if (!use_score_matrix_) {
-        out[begin + i] = match == kNoRule ? 1.0 : 0.0;
-        continue;
-      }
-      const size_t n_index =
-          match == kNoRule ? n_rules_.size() : static_cast<size_t>(match);
-      out[begin + i] = scores_.Score(static_cast<size_t>(p), n_index);
-    }
+    program_.FirstMatchBlock(kNList, n_first.data(), &scratch, &p_matched);
+    p_matched.ForEachSet([&](size_t i) {
+      out[begin + i] = ScoreOf(p_first[i], n_first[i]);
+    });
   });
 }
 

@@ -28,6 +28,10 @@ class ConditionSearchEngine;
 /// ScoreMatrix that arbitrates their combinations.
 class PnruleClassifier : public BinaryClassifier {
  public:
+  /// The lists of the model's matcher program (and ScoreMatrix::Build's).
+  static constexpr size_t kPList = 0;
+  static constexpr size_t kNList = 1;
+
   PnruleClassifier(RuleSet p_rules, RuleSet n_rules, ScoreMatrix scores,
                    bool use_score_matrix);
 
@@ -37,9 +41,19 @@ class PnruleClassifier : public BinaryClassifier {
   /// first N-rule) combination.
   double Score(const Dataset& dataset, RowId row) const override;
 
+  /// The score of a row whose first matching P-rule is `p` (not kNoRule)
+  /// and first matching N-rule is `n` (kNoRule when none matches).
+  double ScoreOf(int32_t p, int32_t n) const {
+    if (!use_score_matrix_) return n == kNoRule ? 1.0 : 0.0;
+    const size_t n_index =
+        n == kNoRule ? n_rules_.size() : static_cast<size_t>(n);
+    return scores_.Score(static_cast<size_t>(p), n_index);
+  }
+
   /// Compiled fast path: first-match P and N resolution runs
-  /// column-at-a-time per row block (rules/compiled_rule_set.h), the
-  /// ScoreMatrix lookup per block. Bit-identical to Score per row.
+  /// column-at-a-time per row block over one program holding both lists
+  /// (rules/compiled_rule_set.h), the ScoreMatrix lookup per block.
+  /// Bit-identical to Score per row.
   void ScoreBatch(const Dataset& dataset, const RowId* rows, size_t count,
                   double* out,
                   const BatchScoreOptions& options = {}) const override;
@@ -56,8 +70,8 @@ class PnruleClassifier : public BinaryClassifier {
   RuleSet n_rules_;
   ScoreMatrix scores_;
   bool use_score_matrix_;
-  CompiledRuleSet compiled_p_;  ///< matcher program for p_rules_
-  CompiledRuleSet compiled_n_;  ///< matcher program for n_rules_
+  /// Matcher program: list kPList is p_rules_, list kNList n_rules_.
+  CompiledRuleSet program_;
 };
 
 /// Diagnostic summary of a training run.

@@ -46,41 +46,39 @@ ScoreMatrix ScoreMatrix::Build(const Dataset& dataset, const RowSubset& rows,
   matrix.scores_.assign(cells, 0.0);
   if (matrix.num_p_ == 0) return matrix;
 
-  // Replay the model over the training rows through the compiled matchers
-  // (rules/compiled_rule_set.h) instead of two interpreted FirstMatch scans
-  // per row. One block spans every row, so each referenced column is swept
-  // once per rule list — on a demand-paged dataset, at most one fault per
-  // column and rule list. Cells accumulate in row order, so the matrix is
-  // identical to the row-at-a-time replay.
+  // Replay the model over the training rows through one compiled program
+  // holding both lists (rules/compiled_rule_set.h) instead of two
+  // interpreted FirstMatch scans per row. One block spans every row, so
+  // each referenced column is swept once — on a demand-paged dataset, at
+  // most one fault per column for both lists. Cells accumulate in row
+  // order, so the matrix is identical to the row-at-a-time replay.
   std::vector<double> positives(cells, 0.0);
-  const CompiledRuleSet compiled_p = CompiledRuleSet::Compile(p_rules);
-  const CompiledRuleSet compiled_n = CompiledRuleSet::Compile(n_rules);
+  const CompiledRuleSet program =
+      CompiledRuleSet::Compile({&p_rules, &n_rules});  // lists 0: P, 1: N
   CompiledRuleSet::Scratch scratch;
   const size_t count = rows.size();
   std::vector<int32_t> p_first(count);
   std::vector<int32_t> n_first(count);
-  compiled_p.FirstMatchBlock(dataset, rows.data(), count, p_first.data(),
-                             &scratch);
+  program.BeginBlock(dataset, rows.data(), count, &scratch);
+  program.FirstMatchBlock(0, p_first.data(), &scratch);
   // Only P-covered rows land in a cell, so the N replay can restrict itself
   // to them (sparse for a rare class).
   BitMask p_matched(count);
   for (size_t i = 0; i < count; ++i) {
     if (p_first[i] != kNoRule) p_matched.Set(i);
   }
-  compiled_n.FirstMatchBlock(dataset, rows.data(), count, n_first.data(),
-                             &scratch, &p_matched);
-  for (size_t i = 0; i < count; ++i) {
-    const int32_t p = p_first[i];
-    if (p == kNoRule) continue;
+  program.FirstMatchBlock(1, n_first.data(), &scratch, &p_matched);
+  p_matched.ForEachSet([&](size_t i) {
     const size_t n_index = n_first[i] == kNoRule
                                ? matrix.num_n_
                                : static_cast<size_t>(n_first[i]);
-    const size_t cell = matrix.Index(static_cast<size_t>(p), n_index);
+    const size_t cell =
+        matrix.Index(static_cast<size_t>(p_first[i]), n_index);
     const RowId row = rows[i];
     const double w = dataset.weight(row);
     matrix.weights_[cell] += w;
     if (dataset.label(row) == target) positives[cell] += w;
-  }
+  });
 
   const double s = config.score_smoothing;
   for (size_t p = 0; p < matrix.num_p_; ++p) {

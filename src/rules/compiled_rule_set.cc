@@ -1,8 +1,10 @@
 #include "rules/compiled_rule_set.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <tuple>
+#include <type_traits>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -291,15 +293,19 @@ constexpr size_t kSparseFinishFactor = 4;
 
 }  // namespace
 
-CompiledRuleSet CompiledRuleSet::Compile(const RuleSet& rules) {
+CompiledRuleSet CompiledRuleSet::Compile(
+    const std::vector<const RuleSet*>& lists) {
   CompiledRuleSet compiled;
 
-  // Collect and sort the distinct conditions so the evaluation sweep visits
-  // columns in attribute order (each column's data stays hot while all its
-  // conditions evaluate) with same-op runs contiguous inside each group.
+  // Collect and sort the distinct conditions of every list so the
+  // evaluation sweep visits columns in attribute order (each column's data
+  // stays hot while all its conditions evaluate) with same-op runs
+  // contiguous inside each group.
   std::vector<Condition> unique;
-  for (const Rule& rule : rules.rules()) {
-    for (const Condition& c : rule.conditions()) unique.push_back(c);
+  for (const RuleSet* rules : lists) {
+    for (const Rule& rule : rules->rules()) {
+      for (const Condition& c : rule.conditions()) unique.push_back(c);
+    }
   }
   std::sort(unique.begin(), unique.end(),
             [](const Condition& a, const Condition& b) {
@@ -359,19 +365,24 @@ CompiledRuleSet CompiledRuleSet::Compile(const RuleSet& rules) {
 
   // Each rule becomes a span of indices into the unique-condition array,
   // sorted ascending (conjunction order is irrelevant; ascending keeps mask
-  // lookups attribute-grouped too).
-  compiled.rules_.reserve(rules.size());
-  for (const Rule& rule : rules.rules()) {
-    Span span;
-    span.begin = static_cast<uint32_t>(compiled.rule_conditions_.size());
-    for (const Condition& c : rule.conditions()) {
-      compiled.rule_conditions_.push_back(
-          static_cast<uint32_t>(compiled.ConditionIndex(c)));
+  // lookups attribute-grouped too); each list a span of rules.
+  for (const RuleSet* rules : lists) {
+    Span list;
+    list.begin = static_cast<uint32_t>(compiled.rules_.size());
+    for (const Rule& rule : rules->rules()) {
+      Span span;
+      span.begin = static_cast<uint32_t>(compiled.rule_conditions_.size());
+      for (const Condition& c : rule.conditions()) {
+        compiled.rule_conditions_.push_back(
+            static_cast<uint32_t>(compiled.ConditionIndex(c)));
+      }
+      span.end = static_cast<uint32_t>(compiled.rule_conditions_.size());
+      std::sort(compiled.rule_conditions_.begin() + span.begin,
+                compiled.rule_conditions_.end());
+      compiled.rules_.push_back(span);
     }
-    span.end = static_cast<uint32_t>(compiled.rule_conditions_.size());
-    std::sort(compiled.rule_conditions_.begin() + span.begin,
-              compiled.rule_conditions_.end());
-    compiled.rules_.push_back(span);
+    list.end = static_cast<uint32_t>(compiled.rules_.size());
+    compiled.lists_.push_back(list);
   }
   return compiled;
 }
@@ -387,67 +398,134 @@ int32_t CompiledRuleSet::ConditionIndex(const Condition& condition) const {
   return static_cast<int32_t>(it - conditions_.begin());
 }
 
+void CompiledRuleSet::BeginBlock(const Dataset& dataset, const RowId* rows,
+                                 size_t count, Scratch* scratch) const {
+  scratch->program = this;
+  scratch->dataset = &dataset;
+  scratch->rows = rows;
+  scratch->count = count;
+  scratch->rows_consecutive = true;
+  for (size_t i = 1; i < count; ++i) {
+    if (rows[i] != rows[0] + i) {
+      scratch->rows_consecutive = false;
+      break;
+    }
+  }
+  // A demand-paged dataset can evict column A while column B faults in, so
+  // hoisted raw pointers may dangle mid-block — and every fault decodes a
+  // whole column, so per-row walks that touch many columns thrash the
+  // pager. Paged blocks therefore always run the dense path with whole
+  // groups: each attribute faults at most once per block, its values are
+  // read (or gathered) right after its own fault, and every condition on it
+  // is swept with nothing else faulting in between. The sparse shortcuts
+  // (identical results, different evaluation order) stay pointer-hoisted
+  // and are skipped when paged.
+  scratch->whole_groups = dataset.paged();
+  scratch->condition_masks.resize(conditions_.size());
+  scratch->evaluated.assign(conditions_.size(), 0);
+  scratch->gathered.assign(groups_.size(), 0);
+  const size_t slots = scratch->whole_groups ? 1 : groups_.size();
+  if (scratch->gathered_numeric.size() < slots) {
+    scratch->gathered_numeric.resize(slots);
+    scratch->gathered_categorical.resize(slots);
+  }
+  scratch->cols_hoisted = false;
+}
+
+void CompiledRuleSet::HoistColumns(Scratch* scratch) const {
+  if (scratch->cols_hoisted) return;
+  const Dataset& dataset = *scratch->dataset;
+  scratch->cond_cols.resize(conditions_.size());
+  for (size_t i = 0; i < conditions_.size(); ++i) {
+    const CompiledCondition& c = conditions_[i];
+    scratch->cond_cols[i] =
+        c.op == ConditionOp::kCatEqual
+            ? static_cast<const void*>(
+                  dataset.categorical_column(c.attr).data())
+            : static_cast<const void*>(dataset.numeric_column(c.attr).data());
+  }
+  scratch->cols_hoisted = true;
+}
+
 std::vector<BitMask> CompiledRuleSet::ConditionMasks(const Dataset& dataset,
                                                      const RowId* rows,
                                                      size_t count) const {
   Scratch scratch;
-  scratch.condition_masks.resize(conditions_.size());
-  if (count == 0) return std::move(scratch.condition_masks);
-  scratch.evaluated.resize(conditions_.size(), 0);
-  scratch.rows_consecutive = true;
-  for (size_t i = 1; i < count && scratch.rows_consecutive; ++i) {
-    scratch.rows_consecutive = rows[i] == rows[0] + i;
-  }
+  BeginBlock(dataset, rows, count, &scratch);
+  scratch.whole_groups = true;  // one gathered copy at a time
   // Conditions are grouped by attribute, so each column is swept while it
   // is the one most recently touched.
-  for (uint32_t ci = 0; ci < conditions_.size(); ++ci) {
-    EnsureCondition(ci, dataset, rows, count, &scratch);
+  if (count > 0) {
+    for (uint32_t ci = 0; ci < conditions_.size(); ++ci) {
+      EnsureCondition(ci, &scratch);
+    }
   }
   return std::move(scratch.condition_masks);
 }
 
-void CompiledRuleSet::EvalCategoricalGroup(const AttrGroup& group,
-                                           const Dataset& dataset,
-                                           const RowId* rows, size_t count,
+template <typename T>
+const T* CompiledRuleSet::BlockValues(uint32_t g, Scratch* scratch) const {
+  constexpr bool kNumeric = std::is_same_v<T, double>;
+  const size_t slot = scratch->whole_groups ? 0 : g;
+  std::vector<T>* copy = nullptr;
+  if constexpr (kNumeric) {
+    copy = &scratch->gathered_numeric[slot];
+  } else {
+    copy = &scratch->gathered_categorical[slot];
+  }
+  if (scratch->gathered[g]) return copy->data();
+  const T* col = nullptr;
+  if constexpr (kNumeric) {
+    col = scratch->dataset->numeric_column(groups_[g].attr).data();
+  } else {
+    col = scratch->dataset->categorical_column(groups_[g].attr).data();
+  }
+  const RowId* rows = scratch->rows;
+  if (scratch->rows_consecutive) return col + rows[0];
+  // Scattered rows: one gather per attribute and block, after which every
+  // condition of every list sweeps the copy with the contiguous kernels.
+  // Whole-group sweeps need each group's values once, so they share slot 0
+  // and never mark a group as gathered.
+  copy->resize(scratch->count);
+  for (size_t i = 0; i < scratch->count; ++i) (*copy)[i] = col[rows[i]];
+  if (!scratch->whole_groups) scratch->gathered[g] = 1;
+  return copy->data();
+}
+
+void CompiledRuleSet::EvalCategoricalGroup(uint32_t g,
                                            Scratch* scratch) const {
   // Build all of the group's masks 64 rows at a time: one word accumulator
-  // per condition, the column value loaded (and looked up) once per row.
+  // per condition, the value loaded (and looked up) once per row.
+  const AttrGroup& group = groups_[g];
+  const size_t count = scratch->count;
   const size_t group_size = group.end - group.begin;
   std::vector<uint64_t>& acc = scratch->acc;
   if (acc.size() < group_size) acc.resize(group_size);
   const size_t num_words = (count + 63) / 64;
-  const CategoryId* col = dataset.categorical_column(group.attr).data();
+  const CategoryId* values = BlockValues<CategoryId>(g, scratch);
   const int32_t* lookup = cat_lookup_.data() + group.lookup_begin;
   size_t i = 0;
   for (size_t w = 0; w < num_words; ++w) {
     std::fill_n(acc.begin(), group_size, uint64_t{0});
     const size_t limit = std::min<size_t>(64, count - i);
     for (size_t b = 0; b < limit; ++b, ++i) {
-      const CategoryId v = col[rows[i]];
+      const CategoryId v = values[i];
       if (v >= 0 && static_cast<uint32_t>(v) < group.lookup_size) {
         const int32_t slot = lookup[v];
         if (slot >= 0) acc[static_cast<size_t>(slot)] |= uint64_t{1} << b;
       }
     }
-    for (size_t g = 0; g < group_size; ++g) {
-      scratch->condition_masks[group.begin + g].set_block(w, acc[g]);
+    for (size_t k = 0; k < group_size; ++k) {
+      scratch->condition_masks[group.begin + k].set_block(w, acc[k]);
     }
   }
 }
 
-void CompiledRuleSet::EvalNumericCondition(uint32_t ci, const Dataset& dataset,
-                                           const RowId* rows, size_t count,
+void CompiledRuleSet::EvalNumericCondition(uint32_t ci, const double* values,
                                            Scratch* scratch) const {
-  // One word-fill sweep per condition: sequential column reads against a
-  // constant threshold. When the block's row ids are consecutive (the
-  // full-table scan every batch consumer issues) the column slice is
-  // contiguous and the runtime-dispatched SIMD kernel packs comparisons
-  // 2–8 doubles at a time; otherwise a scalar gather loop runs.
+  // One sweep per condition: the runtime-dispatched SIMD kernel packs
+  // comparisons of the contiguous block values 2–8 doubles at a time.
   const CompiledCondition& c = conditions_[ci];
-  const double* col = dataset.numeric_column(c.attr).data();
-  BitMask& mask = scratch->condition_masks[ci];
-  const size_t num_words = (count + 63) / 64;
-
   CmpKind kind = CmpKind::kLe;
   switch (c.op) {
     case ConditionOp::kLessEqual:
@@ -462,68 +540,39 @@ void CompiledRuleSet::EvalNumericCondition(uint32_t ci, const Dataset& dataset,
     case ConditionOp::kCatEqual:
       return;  // unreachable: EnsureCondition routes these to the group scan
   }
-
-  if (scratch->rows_consecutive) {
-    std::vector<uint64_t>& acc = scratch->acc;
-    if (acc.size() < num_words) acc.resize(num_words);
-    kCmpSpan(col + rows[0], count, c.lo, c.hi, kind, acc.data());
-    for (size_t w = 0; w < num_words; ++w) mask.set_block(w, acc[w]);
-    return;
-  }
-
-  size_t i = 0;
-  for (size_t w = 0; w < num_words; ++w) {
-    uint64_t bits = 0;
-    const size_t limit = std::min<size_t>(64, count - i);
-    switch (kind) {
-      case CmpKind::kLe:
-        for (size_t b = 0; b < limit; ++b, ++i) {
-          bits |= static_cast<uint64_t>(col[rows[i]] <= c.hi) << b;
-        }
-        break;
-      case CmpKind::kGt:
-        for (size_t b = 0; b < limit; ++b, ++i) {
-          bits |= static_cast<uint64_t>(col[rows[i]] > c.lo) << b;
-        }
-        break;
-      case CmpKind::kRange:
-        for (size_t b = 0; b < limit; ++b, ++i) {
-          const double v = col[rows[i]];
-          bits |= static_cast<uint64_t>(v >= c.lo && v <= c.hi) << b;
-        }
-        break;
-    }
-    mask.set_block(w, bits);
-  }
+  const size_t count = scratch->count;
+  const size_t num_words = (count + 63) / 64;
+  std::vector<uint64_t>& acc = scratch->acc;
+  if (acc.size() < num_words) acc.resize(num_words);
+  kCmpSpan(values, count, c.lo, c.hi, kind, acc.data());
+  BitMask& mask = scratch->condition_masks[ci];
+  for (size_t w = 0; w < num_words; ++w) mask.set_block(w, acc[w]);
 }
 
-void CompiledRuleSet::EnsureCondition(uint32_t ci, const Dataset& dataset,
-                                      const RowId* rows, size_t count,
-                                      Scratch* scratch) const {
+void CompiledRuleSet::EnsureCondition(uint32_t ci, Scratch* scratch) const {
   if (scratch->evaluated[ci]) return;
-  const AttrGroup& group = groups_[condition_group_[ci]];
+  const size_t count = scratch->count;
+  const uint32_t g = condition_group_[ci];
+  const AttrGroup& group = groups_[g];
   if (group.categorical) {
     for (uint32_t j = group.begin; j < group.end; ++j) {
       BitMask& mask = scratch->condition_masks[j];
       if (mask.size() != count) mask = BitMask(count);
     }
-    EvalCategoricalGroup(group, dataset, rows, count, scratch);
+    EvalCategoricalGroup(g, scratch);
     for (uint32_t j = group.begin; j < group.end; ++j) {
       scratch->evaluated[j] = 1;
     }
     return;
   }
-  // Paged: sweep every condition on the attribute back to back while its
-  // column is resident, so a block faults each column at most once even
-  // when rules reach the attribute's conditions far apart.
-  const bool whole_group = dataset.paged();
-  const uint32_t begin = whole_group ? group.begin : ci;
-  const uint32_t end = whole_group ? group.end : ci + 1;
+  const double* values = BlockValues<double>(g, scratch);
+  const uint32_t begin = scratch->whole_groups ? group.begin : ci;
+  const uint32_t end = scratch->whole_groups ? group.end : ci + 1;
   for (uint32_t j = begin; j < end; ++j) {
     if (scratch->evaluated[j]) continue;
     BitMask& mask = scratch->condition_masks[j];
     if (mask.size() != count) mask = BitMask(count);
-    EvalNumericCondition(j, dataset, rows, count, scratch);
+    EvalNumericCondition(j, values, scratch);
     scratch->evaluated[j] = 1;
   }
 }
@@ -551,22 +600,10 @@ inline bool MatchesRowCol(const void* col, ConditionOp op, CategoryId category,
 
 }  // namespace
 
-void CompiledRuleSet::BuildColumnTable(const Dataset& dataset,
-                                       Scratch* scratch) const {
-  scratch->cond_cols.resize(conditions_.size());
-  for (size_t i = 0; i < conditions_.size(); ++i) {
-    const CompiledCondition& c = conditions_[i];
-    scratch->cond_cols[i] =
-        c.op == ConditionOp::kCatEqual
-            ? static_cast<const void*>(
-                  dataset.categorical_column(c.attr).data())
-            : static_cast<const void*>(dataset.numeric_column(c.attr).data());
-  }
-}
-
-int32_t CompiledRuleSet::FirstMatchRowCols(const Scratch& scratch,
+int32_t CompiledRuleSet::FirstMatchRowCols(const Span& list,
+                                           const Scratch& scratch,
                                            RowId row) const {
-  for (size_t r = 0; r < rules_.size(); ++r) {
+  for (uint32_t r = list.begin; r < list.end; ++r) {
     bool matched = true;
     for (uint32_t i = rules_[r].begin; i < rules_[r].end; ++i) {
       const uint32_t ci = rule_conditions_[i];
@@ -577,7 +614,7 @@ int32_t CompiledRuleSet::FirstMatchRowCols(const Scratch& scratch,
         break;
       }
     }
-    if (matched) return static_cast<int32_t>(r);
+    if (matched) return static_cast<int32_t>(r - list.begin);
   }
   return static_cast<int32_t>(kNoRule);
 }
@@ -599,9 +636,10 @@ bool CompiledRuleSet::MatchesRow(const CompiledCondition& c,
   return false;
 }
 
-int32_t CompiledRuleSet::FirstMatchRow(const Dataset& dataset,
+int32_t CompiledRuleSet::FirstMatchRow(size_t list, const Dataset& dataset,
                                        RowId row) const {
-  for (size_t r = 0; r < rules_.size(); ++r) {
+  const Span& span = lists_[list];
+  for (uint32_t r = span.begin; r < span.end; ++r) {
     bool matched = true;
     for (uint32_t i = rules_[r].begin; i < rules_[r].end; ++i) {
       if (!MatchesRow(conditions_[rule_conditions_[i]], dataset, row)) {
@@ -609,38 +647,33 @@ int32_t CompiledRuleSet::FirstMatchRow(const Dataset& dataset,
         break;
       }
     }
-    if (matched) return static_cast<int32_t>(r);
+    if (matched) return static_cast<int32_t>(r - span.begin);
   }
   return static_cast<int32_t>(kNoRule);
 }
 
-void CompiledRuleSet::FirstMatchBlock(const Dataset& dataset,
-                                      const RowId* rows, size_t count,
-                                      int32_t* out, Scratch* scratch,
+void CompiledRuleSet::FirstMatchBlock(size_t list, int32_t* out,
+                                      Scratch* scratch,
                                       const BitMask* candidates) const {
+  assert(scratch->program == this);
+  const RowId* rows = scratch->rows;
+  const size_t count = scratch->count;
+  const Span& span = lists_[list];
   std::fill(out, out + count, static_cast<int32_t>(kNoRule));
-  if (count == 0 || rules_.empty()) return;
+  if (count == 0 || span.begin == span.end) return;
 
-  // A demand-paged dataset can evict column A while column B faults in, so
-  // the hoisted raw pointers of BuildColumnTable may dangle mid-block —
-  // and every fault decodes a whole column, so per-row walks that touch
-  // many columns thrash the pager. Paged blocks therefore always run the
-  // dense path with full mask materialization: each condition faults its
-  // column at most once per block, takes the pointer right after its own
-  // fault, and sweeps it with nothing else faulting in between. The sparse
-  // shortcuts (identical results, different evaluation order) stay
-  // pointer-hoisted and are skipped when paged.
-  const bool paged = dataset.paged();
-
+  // Paged blocks run the dense path only (see BeginBlock).
+  const bool paged = scratch->whole_groups;
   if (candidates != nullptr && !paged) {
     const size_t active = candidates->Count();
     if (active == 0) return;
     if (active < count / kSparseDivisor) {
       // Sparse: the few candidate rows are cheaper to walk directly than
       // any full-block column scan.
-      BuildColumnTable(dataset, scratch);
-      candidates->ForEachSet(
-          [&](size_t i) { out[i] = FirstMatchRowCols(*scratch, rows[i]); });
+      HoistColumns(scratch);
+      candidates->ForEachSet([&](size_t i) {
+        out[i] = FirstMatchRowCols(span, *scratch, rows[i]);
+      });
       return;
     }
   }
@@ -649,37 +682,28 @@ void CompiledRuleSet::FirstMatchBlock(const Dataset& dataset,
   // First-match-wins resolution over lazily materialized condition masks.
   // `unresolved` tracks rows not yet claimed by an earlier rule; each rule
   // claims (unresolved AND all its condition masks). A condition's mask is
-  // built only the first time a rule reaches it while still dense — once a
-  // rule's partial mask is sparse, its remaining conjuncts are tested
-  // row-by-row on just the surviving rows.
-  scratch->condition_masks.resize(conditions_.size());
-  scratch->evaluated.assign(conditions_.size(), 0);
-  if (!paged) BuildColumnTable(dataset, scratch);
-  scratch->rows_consecutive = true;
-  for (size_t i = 1; i < count; ++i) {
-    if (rows[i] != rows[0] + i) {
-      scratch->rows_consecutive = false;
-      break;
-    }
-  }
-
+  // built only the first time a rule of any list reaches it on this block
+  // while still dense — once a rule's partial mask is sparse, its
+  // remaining conjuncts are tested row-by-row on just the surviving rows.
   BitMask& unresolved = scratch->unresolved;
   unresolved = candidates != nullptr ? *candidates : BitMask(count, true);
   BitMask& rule_mask = scratch->rule_mask;
-  for (size_t r = 0; r < rules_.size(); ++r) {
+  for (uint32_t r = span.begin; r < span.end; ++r) {
     if (!unresolved.AnySet()) break;
-    const Span& span = rules_[r];
+    const int32_t index = static_cast<int32_t>(r - span.begin);
+    const Span& rule = rules_[r];
     rule_mask = unresolved;
     bool alive = true;
-    for (uint32_t i = span.begin; i < span.end; ++i) {
+    for (uint32_t i = rule.begin; i < rule.end; ++i) {
       const uint32_t ci = rule_conditions_[i];
       if (!scratch->evaluated[ci]) {
         if (!paged && rule_mask.Count() * kSparseFinishFactor < count) {
           // Sparse finish: test the remaining conjuncts directly on the
           // few rows still in play.
+          HoistColumns(scratch);
           rule_mask.ForEachSet([&](size_t slot) {
             const RowId row = rows[slot];
-            for (uint32_t j = i; j < span.end; ++j) {
+            for (uint32_t j = i; j < rule.end; ++j) {
               const uint32_t cj = rule_conditions_[j];
               const CompiledCondition& c = conditions_[cj];
               if (!MatchesRowCol(scratch->cond_cols[cj], c.op, c.category,
@@ -687,13 +711,13 @@ void CompiledRuleSet::FirstMatchBlock(const Dataset& dataset,
                 return;
               }
             }
-            out[slot] = static_cast<int32_t>(r);
+            out[slot] = index;
             unresolved.Set(slot, false);
           });
           alive = false;  // already claimed above
           break;
         }
-        EnsureCondition(ci, dataset, rows, count, scratch);
+        EnsureCondition(ci, scratch);
       }
       rule_mask &= scratch->condition_masks[ci];
       if (!rule_mask.AnySet()) {
@@ -702,8 +726,7 @@ void CompiledRuleSet::FirstMatchBlock(const Dataset& dataset,
       }
     }
     if (!alive) continue;
-    rule_mask.ForEachSet(
-        [&](size_t i) { out[i] = static_cast<int32_t>(r); });
+    rule_mask.ForEachSet([&](size_t i) { out[i] = index; });
     unresolved.AndNot(rule_mask);
   }
 }

@@ -2,18 +2,24 @@
 // family the ScoreBatch/PredictBatch fast paths must be *bitwise* identical
 // to the per-row Score/Predict calls, for any thread count and block size.
 // Also covers the engine's edge cases (empty rule sets, all-missing
-// categorical columns, non-default thresholds) and the compiled replay
-// inside ScoreMatrix::Build.
+// categorical columns, non-default thresholds), the compiled replay inside
+// ScoreMatrix::Build, scattered row orders (the gather-once path) and the
+// one-vs-rest committee's one-program ClassifyBatch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "assoc/cba.h"
 #include "c45/rules.h"
 #include "c45/tree_classifier.h"
+#include "common/rng.h"
+#include "pnrule/multiclass.h"
 #include "pnrule/pnrule.h"
 #include "pnrule/score_matrix.h"
 #include "ripper/ripper.h"
@@ -252,6 +258,147 @@ TEST(BatchScoreTest, ScoreMatrixBuildMatchesInterpretedReplay) {
       EXPECT_DOUBLE_EQ(built.CellWeight(p, n),
                        cell_weight[p * (num_n + 1) + n])
           << "cell (" << p << ", " << n << ")";
+    }
+  }
+}
+
+// Row orders a batch caller may pass: in order, shuffled, reversed, and
+// every row twice with the copies interleaved out of order.
+std::vector<std::pair<std::string, std::vector<RowId>>> RowOrders(
+    const Dataset& dataset) {
+  const std::vector<RowId> in_order = AllRowIds(dataset);
+  std::vector<RowId> shuffled = in_order;
+  Rng rng(4711);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.NextBelow(i)]);
+  }
+  std::vector<RowId> reversed(in_order.rbegin(), in_order.rend());
+  std::vector<RowId> duplicated;
+  for (size_t i = 0; i < shuffled.size(); ++i) {
+    duplicated.push_back(shuffled[i]);
+    duplicated.push_back(in_order[i]);
+  }
+  return {{"in order", in_order},
+          {"shuffled", shuffled},
+          {"reversed", reversed},
+          {"duplicated", duplicated}};
+}
+
+// Single models score scattered rows (gathered once per block and
+// attribute) exactly as they score the same rows in order.
+TEST(BatchScoreTest, ScatteredRowsScoreAsInOrderPermuted) {
+  const KddSimData& data = SharedKdd();
+  const CategoryId target = KddTarget();
+  auto pnrule = PnruleLearner().Train(data.train, target);
+  auto ripper = RipperLearner().Train(data.train, target);
+  auto c45_rules = C45RulesLearner().Train(data.train, target);
+  auto cba = MineCba(data.train, data.train.AllRows(), target,
+                     AssocMineOptions());
+  ASSERT_TRUE(pnrule.ok() && ripper.ok() && c45_rules.ok() && cba.ok());
+  const std::vector<std::pair<std::string, const BinaryClassifier*>> models =
+      {{"pnrule", &*pnrule},
+       {"ripper", &*ripper},
+       {"c45rules", &*c45_rules},
+       {"cba", &cba->model}};
+  for (const auto& [name, model] : models) {
+    const std::vector<double> reference =
+        model->ScoreRows(data.test, data.test.AllRows());
+    for (const auto& [order, rows] : RowOrders(data.test)) {
+      for (const size_t block_size : {size_t{64}, size_t{4096}}) {
+        BatchScoreOptions options;
+        options.block_size = block_size;
+        std::vector<double> scores(rows.size());
+        model->ScoreBatch(data.test, rows.data(), rows.size(), scores.data(),
+                          options);
+        std::vector<double> expected(rows.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          expected[i] = reference[rows[i]];
+        }
+        EXPECT_TRUE(BitIdentical(scores, expected))
+            << name << ", " << order << ", block_size=" << block_size;
+      }
+    }
+  }
+}
+
+// A kdd committee with every special case ClassifyBatch must honour: a
+// zero-weight class, an absent class (no model) and a class whose N-list
+// is empty.
+MultiClassPnruleClassifier EdgeCaseCommittee() {
+  const KddSimData& data = SharedKdd();
+  const Schema& schema = data.train.schema();
+  auto trained = MultiClassPnruleLearner().Train(data.train);
+  EXPECT_TRUE(trained.ok()) << trained.status().ToString();
+  const size_t num_classes = trained->num_classes();
+  std::vector<std::optional<PnruleClassifier>> models(num_classes);
+  for (size_t cls = 0; cls < num_classes; ++cls) {
+    const PnruleClassifier* model =
+        trained->model_for(static_cast<CategoryId>(cls));
+    if (model != nullptr) models[cls].emplace(*model);
+  }
+  const auto id = [&](const char* name) {
+    const CategoryId cls = schema.class_attr().FindCategory(name);
+    EXPECT_NE(cls, kInvalidCategory) << name;
+    return static_cast<size_t>(cls);
+  };
+  models[id("u2r")].reset();
+  const size_t probe = id("probe");
+  EXPECT_TRUE(models[probe].has_value());
+  EXPECT_FALSE(models[probe]->n_rules().empty());
+  const RuleSet p_rules = models[probe]->p_rules();
+  const PnruleConfig config;
+  ScoreMatrix scores =
+      ScoreMatrix::Build(data.train, data.train.AllRows(),
+                         static_cast<CategoryId>(probe), p_rules, RuleSet(),
+                         config);
+  models[probe].emplace(p_rules, RuleSet(), std::move(scores),
+                        config.use_score_matrix);
+  std::vector<double> weights(num_classes, 1.0);
+  weights[id("dos")] = 0.0;
+  weights[id("r2l")] = 2.5;
+  return MultiClassPnruleClassifier(std::move(models), std::move(weights),
+                                    trained->default_class());
+}
+
+// The committee's one-program ClassifyBatch equals per-row Classify for
+// every row order, block size, thread count and residency.
+TEST(BatchScoreTest, CommitteeClassifyBatchMatchesClassify) {
+  const KddSimData& data = SharedKdd();
+  const MultiClassPnruleClassifier committee = EdgeCaseCommittee();
+  ASSERT_NE(data.test.num_rows() % 64, 0u);
+  std::vector<CategoryId> per_row(data.test.num_rows());
+  for (RowId row = 0; row < data.test.num_rows(); ++row) {
+    per_row[row] = committee.Classify(data.test, row);
+  }
+  // Every committee case must be live: some row goes to each of several
+  // classes, and to the default.
+  std::vector<size_t> votes(committee.num_classes() + 1, 0);
+  for (const CategoryId cls : per_row) ++votes[static_cast<size_t>(cls)];
+  EXPECT_GE(std::count_if(votes.begin(), votes.end(),
+                          [](size_t v) { return v > 0; }),
+            3);
+
+  // Tight: below one categorical column, so every column switch faults.
+  const Dataset paged = testutil::PagedCopy(
+      data.test, data.test.num_rows() * sizeof(CategoryId) / 2);
+  for (const Dataset* dataset : {&data.test, &paged}) {
+    for (const auto& [order, rows] : RowOrders(data.test)) {
+      std::vector<CategoryId> expected(rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) expected[i] = per_row[rows[i]];
+      for (const size_t block_size :
+           {size_t{1}, size_t{63}, size_t{64}, size_t{65}, size_t{4096}}) {
+        for (const size_t threads : {size_t{1}, size_t{4}}) {
+          BatchScoreOptions options;
+          options.block_size = block_size;
+          options.num_threads = threads;
+          std::vector<CategoryId> batched(rows.size(), kInvalidCategory);
+          committee.ClassifyBatch(*dataset, rows.data(), rows.size(),
+                                  batched.data(), options);
+          EXPECT_EQ(batched, expected)
+              << (dataset->paged() ? "paged, " : "in RAM, ") << order
+              << ", block_size=" << block_size << ", threads=" << threads;
+        }
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -100,6 +101,52 @@ TEST(BitMaskTest, RandomizedAgainstReferenceImplementation) {
   EXPECT_EQ(anded.Count(), expected_and);
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(anded.Get(i), ra[i] && rb[i]);
+  }
+}
+
+// Every popcount tier this CPU runs (portable, popcnt) against a
+// bit-by-bit reference, on sizes whose last mask word is partial, empty
+// and full, with random, all-set and all-clear contents.
+TEST(BitMaskTest, EveryPopcountTierMatchesBitByBitReference) {
+  const std::vector<PopcountKernels>& tiers = SupportedPopcountKernels();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_STREQ(tiers.front().name, "portable");
+  EXPECT_EQ(ActivePopcountKernels().count, tiers.back().count);
+  Rng rng(91);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                         size_t{65}, size_t{130}, size_t{1000}}) {
+    for (const double density : {0.0, 0.03, 0.5, 1.0}) {
+      BitMask a(n);
+      BitMask b(n);
+      for (size_t i = 0; i < n; ++i) {
+        a.Set(i, rng.NextBool(density));
+        b.Set(i, rng.NextBool(0.5));
+      }
+      size_t ones = 0;
+      size_t and_ones = 0;
+      size_t and_not_ones = 0;
+      for (size_t i = 0; i < n; ++i) {
+        ones += a.Get(i);
+        and_ones += a.Get(i) && b.Get(i);
+        and_not_ones += a.Get(i) && !b.Get(i);
+      }
+      std::vector<uint64_t> wa(a.num_blocks());
+      std::vector<uint64_t> wb(b.num_blocks());
+      for (size_t w = 0; w < wa.size(); ++w) {
+        wa[w] = a.block(w);
+        wb[w] = b.block(w);
+      }
+      for (const PopcountKernels& tier : tiers) {
+        SCOPED_TRACE(std::string(tier.name) + " n=" + std::to_string(n));
+        EXPECT_EQ(tier.count(wa.data(), wa.size()), ones);
+        EXPECT_EQ(tier.count_and(wa.data(), wb.data(), wa.size()), and_ones);
+        EXPECT_EQ(tier.count_and_not(wa.data(), wb.data(), wa.size()),
+                  and_not_ones);
+      }
+      EXPECT_EQ(a.Count(), ones);
+      EXPECT_EQ(a.CountAnd(b), and_ones);
+      EXPECT_EQ(a.CountAndNot(b), and_not_ones);
+    }
   }
 }
 

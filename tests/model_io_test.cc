@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "eval/metrics.h"
 #include "synth/sweep.h"
@@ -139,6 +143,40 @@ TEST(ModelIoTest, RejectsUnknownAttribute) {
   other.GetOrAddClass("C");
   other.GetOrAddClass("NC");
   EXPECT_FALSE(ParsePnruleModel(text, other).ok());
+}
+
+TEST(ModelIoTest, CommitteeLoaderRejectsNonFiniteOrNegativeWeights) {
+  Schema schema;
+  schema.AddAttribute(Attribute::Numeric("x"));
+  schema.GetOrAddClass("neg");
+  schema.GetOrAddClass("pos");
+  std::vector<std::optional<PnruleClassifier>> models(2);
+  models[1].emplace(RuleSet(), RuleSet(), ScoreMatrix(), true);
+  const std::string text = SerializeMultiClassModel(
+      MultiClassPnruleClassifier(std::move(models), {1.0, 0.0}, 0), schema);
+  ASSERT_TRUE(ParseMultiClassModel(text, schema).ok());
+  // Line 4 is class 0's absent record, line 5 starts class 1's model.
+  for (const char* bad : {"nan", "inf", "-inf", "-1", "-0.5"}) {
+    for (const auto& [record, line] :
+         {std::pair<std::string, std::string>{"class 0 1 absent", "4"},
+          std::pair<std::string, std::string>{"class 1 0 model", "5"}}) {
+      std::string edited = text;
+      const size_t pos = edited.find(record);
+      ASSERT_NE(pos, std::string::npos) << record;
+      std::string replaced = record;
+      replaced.replace(8, 1, bad);
+      edited.replace(pos, record.size(), replaced);
+      const auto parsed = ParseMultiClassModel(edited, schema);
+      ASSERT_FALSE(parsed.ok()) << replaced;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(parsed.status().message().find("line " + line + ":"),
+                std::string::npos)
+          << parsed.status().ToString();
+      EXPECT_NE(parsed.status().message().find("finite and >= 0"),
+                std::string::npos)
+          << parsed.status().ToString();
+    }
+  }
 }
 
 TEST(ModelIoTest, LoadMissingFileFails) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <numeric>
 #include <optional>
 #include <vector>
@@ -91,6 +93,20 @@ TEST(MultiClassTest, RejectsBadWeights) {
   learner.set_class_weights({1.0, 1.0});  // 2 weights, 5 classes
   auto committee = learner.Train(kdd.train);
   EXPECT_FALSE(committee.ok());
+  // Every weight must be finite and >= 0; zero is allowed.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -1.0}) {
+    std::vector<double> weights(5, 1.0);
+    weights[3] = bad;
+    learner.set_class_weights(weights);
+    committee = learner.Train(kdd.train);
+    ASSERT_FALSE(committee.ok()) << bad;
+    EXPECT_EQ(committee.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(committee.status().message().find("finite and >= 0"),
+              std::string::npos)
+        << committee.status().ToString();
+  }
 }
 
 TEST(MultiClassTest, RejectsSingleClassSchema) {

@@ -6,8 +6,8 @@
 // (DESIGN.md §14, "Access-pattern discipline"); all of them are exact and
 // deterministic:
 //
-//   * ScoreMatrix::Build replays each rule list in one pass over the rows,
-//     faulting each attribute a rule list references at most once;
+//   * ScoreMatrix::Build replays its P- and N-list in one pass over the
+//     rows, faulting each attribute the lists reference at most once;
 //   * once an engine has built its sorted orders, a numeric search over any
 //     row subset faults nothing — the cache holds the sorted values and
 //     rank maps the search needs;
@@ -15,7 +15,8 @@
 //     its rules' coverage, the possible-condition count and every MDL
 //     check read the engine's cache, weights and labels only;
 //   * a one-vs-rest committee faults each column once for all its classes,
-//     plus its ScoreMatrix sweeps;
+//     plus its ScoreMatrix sweeps, and its ClassifyBatch faults each
+//     column its lists reference at most once per row block;
 //   * C4.5rules' rule steps (everything after its tree) fault each
 //     attribute the tree's rules reference at most once.
 
@@ -69,19 +70,23 @@ Dataset PagedView(const Dataset& in_ram) {
   return testutil::PagedCopy(in_ram, in_ram.num_rows() * sizeof(double) / 2);
 }
 
-size_t DistinctAttrs(const RuleSet& rules) {
+size_t DistinctAttrs(const std::vector<const RuleSet*>& lists) {
   std::set<AttrIndex> attrs;
-  for (const Rule& rule : rules.rules()) {
-    for (const Condition& c : rule.conditions()) attrs.insert(c.attr);
+  for (const RuleSet* rules : lists) {
+    for (const Rule& rule : rules->rules()) {
+      for (const Condition& c : rule.conditions()) attrs.insert(c.attr);
+    }
   }
   return attrs.size();
 }
+
+size_t DistinctAttrs(const RuleSet& rules) { return DistinctAttrs({&rules}); }
 
 double PosMinusNeg(const RuleStats& stats) {
   return stats.positive - stats.negative();
 }
 
-TEST(PagedFaultBudgetTest, ScoreMatrixFaultsEachColumnOncePerRuleList) {
+TEST(PagedFaultBudgetTest, ScoreMatrixFaultsEachColumnOnce) {
   const Dataset in_ram = BandsDataset();
   const PnruleConfig config;
   const RowSubset rows = in_ram.AllRows();
@@ -99,7 +104,7 @@ TEST(PagedFaultBudgetTest, ScoreMatrixFaultsEachColumnOncePerRuleList) {
   const ScoreMatrix matrix =
       ScoreMatrix::Build(paged, rows, kPos, p.rules, n.rules, config);
   EXPECT_LE(paged.column_fault_count() - before,
-            DistinctAttrs(p.rules) + DistinctAttrs(n.rules));
+            DistinctAttrs({&p.rules, &n.rules}));
   EXPECT_EQ(matrix.ToString(), reference.ToString());
 }
 
@@ -186,11 +191,57 @@ TEST(PagedFaultBudgetTest, CommitteeFaultsEachColumnOncePlusScoreMatrix) {
     if (model == nullptr) continue;
     ++classes;
     score_matrix_sweeps +=
-        DistinctAttrs(model->p_rules()) + DistinctAttrs(model->n_rules());
+        DistinctAttrs({&model->p_rules(), &model->n_rules()});
   }
   ASSERT_GE(classes, 3u);
   EXPECT_LE(paged.column_fault_count(),
             paged.schema().num_attributes() + score_matrix_sweeps);
+}
+
+TEST(PagedFaultBudgetTest, CommitteeClassifyBatchFaultsEachColumnOncePerBlock) {
+  KddSimParams params;
+  params.train_records = 3000;
+  params.test_records = 1000;
+  params.seed = 616;
+  auto generated = GenerateKddSim(params);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  auto committee = MultiClassPnruleLearner().Train(generated->train);
+  ASSERT_TRUE(committee.ok()) << committee.status().ToString();
+  std::vector<const RuleSet*> lists;
+  for (size_t cls = 0; cls < committee->num_classes(); ++cls) {
+    const PnruleClassifier* model =
+        committee->model_for(static_cast<CategoryId>(cls));
+    if (model == nullptr) continue;
+    lists.push_back(&model->p_rules());
+    lists.push_back(&model->n_rules());
+  }
+  const size_t referenced = DistinctAttrs(lists);
+  ASSERT_GE(referenced, 3u);
+
+  const Dataset& in_ram = generated->test;
+  std::vector<RowId> rows(in_ram.num_rows());
+  for (RowId r = 0; r < in_ram.num_rows(); ++r) {
+    rows[r] = (r * 389) % in_ram.num_rows();  // scattered: the gather path
+  }
+  BatchScoreOptions options;
+  options.block_size = 128;
+  const size_t blocks = (rows.size() + options.block_size - 1) /
+                        options.block_size;
+  std::vector<CategoryId> expected(rows.size());
+  committee->ClassifyBatch(in_ram, rows.data(), rows.size(), expected.data(),
+                           options);
+
+  // Below one categorical column, so every switch of column is a fault.
+  const Dataset paged = testutil::PagedCopy(
+      in_ram, in_ram.num_rows() * sizeof(CategoryId) / 2);
+  std::vector<CategoryId> predicted(rows.size());
+  const uint64_t before = paged.column_fault_count();
+  committee->ClassifyBatch(paged, rows.data(), rows.size(), predicted.data(),
+                           options);
+  EXPECT_EQ(predicted, expected);
+  // Every class's P- and N-list share the block's condition masks, so each
+  // referenced column faults at most once per block for the committee.
+  EXPECT_LE(paged.column_fault_count() - before, blocks * referenced);
 }
 
 TEST(PagedFaultBudgetTest, C45RulesStepsFaultEachRuleColumnOnce) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -100,7 +102,7 @@ TEST(CompiledRuleSetTest, ConditionMasksMatchEveryCondition) {
   EXPECT_EQ(program.ConditionIndex(Condition::CatEqual(1, 0)), -1);
 
   RowSubset all = dataset.AllRows();  // consecutive: the SIMD sweep
-  RowSubset gathered;                 // the gather loop
+  RowSubset gathered;                 // scattered: a gathered copy
   for (RowId r = 0; r < dataset.num_rows(); r += 3) gathered.push_back(r);
   const Dataset paged = testutil::PagedCopy(
       dataset, dataset.num_rows() * sizeof(CategoryId) / 2);
@@ -126,7 +128,103 @@ TEST(CompiledRuleSetTest, ConditionMasksMatchEveryCondition) {
     EXPECT_LE(paged.column_fault_count() - before, 2u);
   }
   for (RowId r = 0; r < dataset.num_rows(); ++r) {
-    EXPECT_EQ(program.FirstMatchRow(dataset, r), rules.FirstMatch(dataset, r));
+    EXPECT_EQ(program.FirstMatchRow(0, dataset, r),
+              rules.FirstMatch(dataset, r));
+  }
+}
+
+// Several lists in one program: conditions dedupe across lists, and each
+// list resolves on a bound block exactly as its own RuleSet, whichever
+// lists ran on the block before it (their condition masks are reused).
+TEST(CompiledRuleSetTest, MultiListProgramMatchesEachList) {
+  std::vector<testutil::MixedRow> rows;
+  for (int i = 0; i < 300; ++i) {
+    rows.push_back({i % 11 == 0 ? std::nan("") : 0.03 * i,
+                    static_cast<CategoryId>((i * 7) % 3), i % 2 == 0});
+  }
+  const Dataset dataset = MakeMixedDataset(rows);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto list = [](std::vector<Rule> rules) {
+    RuleSet set;
+    for (Rule& rule : rules) set.AddRule(std::move(rule));
+    return set;
+  };
+  const std::vector<RuleSet> lists = {
+      list({Rule({Condition::LessEqual(0, 4.0), Condition::CatEqual(1, 1)}),
+            Rule({Condition::InRange(0, 2.0, 6.0)}),
+            Rule({Condition::CatEqual(1, 2)})}),
+      list({Rule({Condition::InRange(0, 2.0, 6.0), Condition::CatEqual(1, 2)}),
+            Rule({Condition::Greater(0, 4.0)}),
+            Rule({Condition::LessEqual(0, nan)})}),
+      RuleSet(),
+      list({Rule({Condition::CatEqual(1, 1)}),
+            Rule({Condition::LessEqual(0, 4.0), Condition::CatEqual(1, 1)}),
+            Rule({Condition::Greater(0, 7.5), Condition::CatEqual(1, 0)})}),
+  };
+  std::vector<const RuleSet*> pointers;
+  std::vector<Condition> all;
+  for (const RuleSet& rules : lists) {
+    pointers.push_back(&rules);
+    for (const Rule& rule : rules.rules()) {
+      for (const Condition& c : rule.conditions()) all.push_back(c);
+    }
+  }
+  const CompiledRuleSet program = CompiledRuleSet::Compile(pointers);
+  ASSERT_EQ(program.num_lists(), lists.size());
+  size_t union_size = 0;
+  for (size_t i = 0; i < all.size(); ++i) {
+    if (std::find(all.begin(), all.begin() + i, all[i]) == all.begin() + i) {
+      ++union_size;
+    }
+  }
+  EXPECT_EQ(union_size, 8u);
+  EXPECT_EQ(program.num_unique_conditions(), union_size);
+  for (size_t k = 0; k < lists.size(); ++k) {
+    EXPECT_EQ(program.num_rules(k), lists[k].size());
+    for (RowId r = 0; r < dataset.num_rows(); ++r) {
+      EXPECT_EQ(program.FirstMatchRow(k, dataset, r),
+                lists[k].FirstMatch(dataset, r));
+    }
+  }
+
+  std::vector<RowId> consecutive(dataset.num_rows());
+  for (RowId r = 0; r < dataset.num_rows(); ++r) consecutive[r] = r;
+  std::vector<RowId> scattered;  // every row twice, out of order
+  for (RowId r = 0; r < dataset.num_rows(); ++r) {
+    scattered.push_back((r * 37) % dataset.num_rows());
+    scattered.push_back(dataset.num_rows() - 1 - r);
+  }
+  const Dataset paged = testutil::PagedCopy(
+      dataset, dataset.num_rows() * sizeof(CategoryId) / 2);
+  for (const Dataset* data : {&dataset, &paged}) {
+    for (const std::vector<RowId>* block : {&consecutive, &scattered}) {
+      BitMask every_third(block->size());
+      for (size_t i = 0; i < block->size(); i += 3) every_third.Set(i);
+      for (const std::vector<size_t>& order :
+           {std::vector<size_t>{0, 1, 2, 3}, std::vector<size_t>{3, 1, 0, 2}}) {
+        for (const BitMask* candidates :
+             std::initializer_list<const BitMask*>{nullptr, &every_third}) {
+          CompiledRuleSet::Scratch scratch;
+          const uint64_t faults = data->column_fault_count();
+          program.BeginBlock(*data, block->data(), block->size(), &scratch);
+          for (const size_t k : order) {
+            std::vector<int32_t> out(block->size(), -7);
+            program.FirstMatchBlock(k, out.data(), &scratch, candidates);
+            for (size_t i = 0; i < block->size(); ++i) {
+              const int expected =
+                  candidates != nullptr && !candidates->Get(i)
+                      ? kNoRule
+                      : lists[k].FirstMatch(dataset, (*block)[i]);
+              ASSERT_EQ(out[i], expected)
+                  << "list " << k << ", slot " << i
+                  << (data->paged() ? ", paged" : ", in RAM");
+            }
+          }
+          // All four lists together fault each column at most once.
+          EXPECT_LE(data->column_fault_count() - faults, 2u);
+        }
+      }
+    }
   }
 }
 
