@@ -618,18 +618,13 @@ void AppendRowTrace(const ParsedRow& row, std::string* out) {
   out->push_back('\n');
 }
 
-// Parses `text` whole (fragment == 0), in `fragment`-byte pieces, or via
-// AppendParallel (fragment == kParallel).
-constexpr size_t kParallelFeed = ~size_t{0};
-
+// Parses `text` whole (fragment == 0) or in `fragment`-byte pieces.
 FeedTrace ParseFeed(std::string_view text, size_t fragment) {
   FeedParser parser(&StreamFuzzSchema(), "fuzz");
   FeedTrace trace;
   parser.set_row_fn(
       [&trace](const ParsedRow& row) { AppendRowTrace(row, &trace.rows); });
-  if (fragment == kParallelFeed) {
-    parser.AppendParallel(text, 3);
-  } else if (fragment == 0) {
+  if (fragment == 0) {
     parser.Append(text);
   } else {
     for (size_t at = 0; at < text.size(); at += fragment) {
@@ -653,15 +648,13 @@ void FuzzStream(const uint8_t* data, size_t size) {
   const std::string text(AsText(data + 1, size - 1));
 
   if (feed_mode) {
-    // Feed parser: the same bytes in any fragmentation — including the
-    // chunk-parallel catch-up path — must yield bit-identical rows AND
-    // identical located error text, and every rejection is located.
+    // Feed parser: the same bytes in any fragmentation must yield
+    // bit-identical rows AND identical located error text, and every
+    // rejection is located.
     const FeedTrace whole = ParseFeed(text, 0);
     const size_t fragment = 1 + size % 13;
     FUZZ_CHECK(whole == ParseFeed(text, fragment),
                "fragmented feed parse differs from whole parse");
-    FUZZ_CHECK(whole == ParseFeed(text, kParallelFeed),
-               "parallel feed parse differs from whole parse");
     for (const std::string& error : whole.errors) {
       FUZZ_CHECK(error.compare(0, 10, "feed:fuzz:") == 0,
                  "feed rejection without a located message");

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -145,28 +144,6 @@ void ItemCatalog::AppendConditions(int32_t id, const Discretizer& discretizer,
   } else {
     discretizer.AppendBinConditions(item.attr, item.bin, rule);
   }
-}
-
-std::string ItemCatalog::ToString(int32_t id, const Schema& schema,
-                                  const Discretizer& discretizer) const {
-  const Item& item = items_[static_cast<size_t>(id)];
-  const Attribute& attr = schema.attribute(item.attr);
-  std::ostringstream out;
-  out.precision(17);
-  if (item.is_categorical()) {
-    out << attr.name() << '=' << attr.CategoryName(item.category);
-    return out.str();
-  }
-  const std::vector<double>& cuts = discretizer.cuts(item.attr);
-  if (item.bin == 0) {
-    out << attr.name() << "<=" << cuts.front();
-  } else if (static_cast<size_t>(item.bin) == cuts.size()) {
-    out << attr.name() << '>' << cuts.back();
-  } else {
-    out << attr.name() << " in (" << cuts[static_cast<size_t>(item.bin) - 1]
-        << ", " << cuts[static_cast<size_t>(item.bin)] << ']';
-  }
-  return out.str();
 }
 
 VerticalIndex VerticalIndex::Build(const Dataset& dataset,

@@ -78,10 +78,6 @@ class ItemCatalog {
   void AppendConditions(int32_t id, const Discretizer& discretizer,
                         Rule* rule) const;
 
-  /// "attr=value" / "attr in bin k" (diagnostics and tests).
-  std::string ToString(int32_t id, const Schema& schema,
-                       const Discretizer& discretizer) const;
-
  private:
   std::vector<Item> items_;
   std::vector<int32_t> attr_base_;  ///< first item id per attribute (-1 none)

@@ -1,7 +1,5 @@
 #include "common/io_hooks.h"
 
-#ifdef PNR_FAULT_INJECT
-
 #include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -97,5 +95,3 @@ bool AllocOk(size_t) {
 
 }  // namespace io
 }  // namespace pnr
-
-#endif  // PNR_FAULT_INJECT

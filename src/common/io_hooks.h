@@ -2,11 +2,10 @@
 //
 // common/net, common/file_io and data/mapped_file perform their I/O through
 // these wrappers instead of calling read/recv/send/accept/mmap directly.
-// In a PNR_FAULT_INJECT build (the default) each wrapper first asks the
-// fault injector (testing/fault.h) whether to fail the call, deliver
-// EINTR, or truncate the transfer — which is how the fault tests prove the
-// error paths actually retry, degrade, and drain. With PNR_FAULT_INJECT
-// compiled out every wrapper is an inline pass-through to the raw syscall.
+// Each wrapper first asks the fault injector (testing/fault.h) whether to
+// fail the call, deliver EINTR, or truncate the transfer — which is how the
+// fault tests prove the error paths actually retry, degrade, and drain.
+// Without an installed plan that costs one branch per syscall.
 //
 // Callers treat these exactly like the syscalls they wrap: same return
 // conventions, errors reported via errno.
@@ -18,16 +17,8 @@
 
 #include <cstddef>
 
-#ifndef PNR_FAULT_INJECT
-#include <sys/mman.h>
-#include <sys/socket.h>
-#include <unistd.h>
-#endif
-
 namespace pnr {
 namespace io {
-
-#ifdef PNR_FAULT_INJECT
 
 ssize_t Read(int fd, void* buf, size_t count);
 ssize_t Write(int fd, const void* buf, size_t count);
@@ -39,31 +30,6 @@ void* Mmap(void* addr, size_t length, int prot, int flags, int fd,
 /// Admission check before a large buffer allocation; false simulates
 /// allocation failure (errno = ENOMEM). Always true without a fault plan.
 bool AllocOk(size_t bytes);
-
-#else  // !PNR_FAULT_INJECT
-
-inline ssize_t Read(int fd, void* buf, size_t count) {
-  return ::read(fd, buf, count);
-}
-inline ssize_t Write(int fd, const void* buf, size_t count) {
-  return ::write(fd, buf, count);
-}
-inline ssize_t Recv(int fd, void* buf, size_t count, int flags) {
-  return ::recv(fd, buf, count, flags);
-}
-inline ssize_t Send(int fd, const void* buf, size_t count, int flags) {
-  return ::send(fd, buf, count, flags);
-}
-inline int Accept(int listen_fd) {
-  return ::accept(listen_fd, nullptr, nullptr);
-}
-inline void* Mmap(void* addr, size_t length, int prot, int flags, int fd,
-                  off_t offset) {
-  return ::mmap(addr, length, prot, flags, fd, offset);
-}
-inline bool AllocOk(size_t) { return true; }
-
-#endif  // PNR_FAULT_INJECT
 
 }  // namespace io
 }  // namespace pnr

@@ -78,22 +78,6 @@ StatusOr<UniqueFd> ConnectLoopback(uint16_t port) {
   return fd;
 }
 
-StatusOr<UniqueFd> AcceptConnection(int listen_fd) {
-  for (;;) {
-    const int fd = io::Accept(listen_fd);
-    if (fd >= 0) {
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      return UniqueFd(fd);
-    }
-    if (errno == EINTR) continue;
-    if (errno == EBADF || errno == EINVAL) {
-      return Status::NotFound("listener closed");
-    }
-    return Errno("accept");
-  }
-}
-
 Status SendAll(int fd, std::string_view data) {
   while (!data.empty()) {
     const ssize_t n =
@@ -115,28 +99,6 @@ StatusOr<bool> WaitReadable(int fd, int timeout_ms) {
     const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc > 0) return true;  // readable, HUP, or error — recv reports which
     if (rc == 0) return false;
-    if (errno == EINTR) continue;
-    return Errno("poll");
-  }
-}
-
-StatusOr<int> WaitAnyReadable(const int* fds, size_t n, int timeout_ms) {
-  pollfd pfds[8];
-  if (n > 8) return Status::InvalidArgument("WaitAnyReadable: too many fds");
-  for (size_t i = 0; i < n; ++i) {
-    pfds[i].fd = fds[i];
-    pfds[i].events = POLLIN;
-    pfds[i].revents = 0;
-  }
-  for (;;) {
-    const int rc = ::poll(pfds, static_cast<nfds_t>(n), timeout_ms);
-    if (rc > 0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (pfds[i].revents != 0) return static_cast<int>(i);
-      }
-      return Status::IOError("poll: spurious readiness");
-    }
-    if (rc == 0) return -1;
     if (errno == EINTR) continue;
     return Errno("poll");
   }

@@ -68,10 +68,6 @@ StatusOr<UniqueFd> ListenTcp(uint16_t port, int backlog, uint16_t* bound_port,
 /// and the load generator.
 StatusOr<UniqueFd> ConnectLoopback(uint16_t port);
 
-/// Accepts one connection; blocks. Returns NotFound when the listener was
-/// closed / shut down from another thread.
-StatusOr<UniqueFd> AcceptConnection(int listen_fd);
-
 /// Writes all of `data`, retrying short writes and EINTR. MSG_NOSIGNAL, so
 /// a peer that closed mid-response yields IOError instead of SIGPIPE.
 Status SendAll(int fd, std::string_view data);
@@ -79,10 +75,6 @@ Status SendAll(int fd, std::string_view data);
 /// Waits up to `timeout_ms` for `fd` to become readable. Returns true when
 /// readable, false on timeout; Status error on poll failure.
 StatusOr<bool> WaitReadable(int fd, int timeout_ms);
-
-/// Waits for any of `fds[0..n)` to become readable (`timeout_ms` < 0 waits
-/// forever). Returns the index of a readable descriptor, or -1 on timeout.
-StatusOr<int> WaitAnyReadable(const int* fds, size_t n, int timeout_ms);
 
 /// Reads at most `cap` bytes into `buf`. Returns the byte count, 0 at
 /// orderly EOF. Blocks until data, EOF, or `timeout_ms` elapses (timeout

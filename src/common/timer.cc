@@ -9,6 +9,4 @@ double Timer::ElapsedSeconds() const {
   return std::chrono::duration<double>(now - start_).count();
 }
 
-double Timer::ElapsedMillis() const { return ElapsedSeconds() * 1000.0; }
-
 }  // namespace pnr

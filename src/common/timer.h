@@ -18,9 +18,6 @@ class Timer {
   /// Seconds elapsed since construction or the last Reset().
   double ElapsedSeconds() const;
 
-  /// Milliseconds elapsed since construction or the last Reset().
-  double ElapsedMillis() const;
-
  private:
   std::chrono::steady_clock::time_point start_;
 };

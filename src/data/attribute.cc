@@ -4,16 +4,6 @@
 
 namespace pnr {
 
-const char* AttributeTypeName(AttributeType type) {
-  switch (type) {
-    case AttributeType::kNumeric:
-      return "numeric";
-    case AttributeType::kCategorical:
-      return "categorical";
-  }
-  return "unknown";
-}
-
 Attribute Attribute::Numeric(std::string name) {
   return Attribute(std::move(name), AttributeType::kNumeric);
 }

@@ -59,9 +59,6 @@ enum class AttributeType {
   kCategorical,
 };
 
-/// Returns "numeric" or "categorical".
-const char* AttributeTypeName(AttributeType type);
-
 /// Dictionary-encoded id of a categorical value.
 using CategoryId = int32_t;
 

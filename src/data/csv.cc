@@ -4,6 +4,7 @@
 
 #include "data/csv.h"
 
+#include <cstdio>
 #include <fstream>
 
 #include "data/ingest.h"
@@ -42,7 +43,10 @@ Status WriteCsv(const Dataset& dataset, const std::string& path,
     for (size_t a = 0; a < schema.num_attributes(); ++a) {
       const AttrIndex attr = static_cast<AttrIndex>(a);
       if (schema.attribute(attr).is_numeric()) {
-        file << dataset.numeric(r, attr);
+        // 17 significant digits round-trip every double bit for bit.
+        char cell[32];
+        std::snprintf(cell, sizeof(cell), "%.17g", dataset.numeric(r, attr));
+        file << cell;
       } else {
         const CategoryId id = dataset.categorical(r, attr);
         file << (id == kInvalidCategory

@@ -218,7 +218,7 @@ static StatusOr<std::string> SerializeRowsImpl(
           "shard_store: label outside the class dictionary");
     }
   }
-  bool has_weights = options.include_weights;
+  bool has_weights = false;
   for (uint64_t i = 0; i < num_rows; ++i) {
     const double w = dataset.weights()[rows ? rows[i] : i];
     if (!std::isfinite(w)) {

@@ -72,11 +72,6 @@ struct ShardStoreWriteOptions {
   /// contiguous ranges of size floor(n/s) with the remainder spread over
   /// the leading shards (the same canonical split at any request).
   uint32_t num_shards = 1;
-
-  /// Force a weight section even when every weight is 1.0. By default the
-  /// section is written exactly when some weight differs from 1.0, which
-  /// keeps the serialized form canonical.
-  bool include_weights = false;
 };
 
 /// Renders `dataset` as a shard-store file image. InvalidArgument when the

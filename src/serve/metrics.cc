@@ -199,13 +199,6 @@ MetricsSnapshot ServerMetrics::Snap() const {
   return snap;
 }
 
-std::string ServerMetrics::Render() const {
-  std::string out;
-  out.reserve(4096);
-  RenderAggregate(&out, Snap());
-  return out;
-}
-
 std::string RenderFleetMetrics(
     const std::vector<const ServerMetrics*>& shards) {
   std::vector<MetricsSnapshot> snaps;

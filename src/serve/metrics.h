@@ -125,9 +125,6 @@ class ServerMetrics {
 
   MetricsSnapshot Snap() const;
 
-  /// Renders this instance alone (single-shard exposition).
-  std::string Render() const;
-
  private:
   EndpointMetrics predict_;
   EndpointMetrics models_;

@@ -67,14 +67,6 @@ std::shared_ptr<const ServedModel> ModelRegistry::Get(
   return it == models_.end() ? nullptr : it->second;
 }
 
-std::vector<std::shared_ptr<const ServedModel>> ModelRegistry::List() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::shared_ptr<const ServedModel>> out;
-  out.reserve(models_.size());
-  for (const auto& [name, entry] : models_) out.push_back(entry);
-  return out;
-}
-
 size_t ModelRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return models_.size();

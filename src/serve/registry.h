@@ -92,9 +92,6 @@ class ModelRegistry {
   /// Snapshot for `name`, or nullptr.
   std::shared_ptr<const ServedModel> Get(const std::string& name) const;
 
-  /// All current snapshots, ordered by name.
-  std::vector<std::shared_ptr<const ServedModel>> List() const;
-
   size_t size() const;
 
   /// Monotone mutation counter; bumped by Load/Install/Remove. Readable

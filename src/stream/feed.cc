@@ -3,7 +3,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cmath>
@@ -12,14 +11,11 @@
 
 #include "common/io_hooks.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
-#include "data/mapped_file.h"
 
 namespace pnr {
 
-FeedParser::FeedParser(const Schema* schema, std::string name,
-                       Options options)
-    : schema_(schema), name_(std::move(name)), options_(options) {
+FeedParser::FeedParser(const Schema* schema, std::string name)
+    : schema_(schema), name_(std::move(name)) {
   assert(schema_ != nullptr);
   scratch_.numeric.resize(schema_->num_attributes(), 0.0);
   scratch_.categorical.resize(schema_->num_attributes(), kInvalidCategory);
@@ -32,7 +28,7 @@ std::string FeedParser::Located(uint64_t line_number,
 
 void FeedParser::RecordError(std::string&& message) {
   ++error_count_;
-  if (errors_.size() < options_.max_errors) {
+  if (errors_.size() < kMaxErrors) {
     errors_.push_back(std::move(message));
   }
 }
@@ -43,7 +39,7 @@ bool FeedParser::CheckHeader(std::string_view line, uint64_t line_number,
   size_t field = 0;
   size_t start = 0;
   while (true) {
-    const size_t end = line.find(options_.delimiter, start);
+    const size_t end = line.find(',', start);
     const std::string_view name = TrimWhitespace(
         line.substr(start, end == std::string_view::npos ? end : end - start));
     const std::string_view expected =
@@ -80,7 +76,7 @@ bool FeedParser::ParseLine(std::string_view line, uint64_t line_number,
   size_t field = 0;
   size_t start = 0;
   while (true) {
-    const size_t end = line.find(options_.delimiter, start);
+    const size_t end = line.find(',', start);
     const std::string_view cell = TrimWhitespace(
         line.substr(start, end == std::string_view::npos ? end : end - start));
     if (field < num_attrs) {
@@ -177,117 +173,6 @@ void FeedParser::Append(std::string_view bytes) {
   }
 }
 
-void FeedParser::AppendParallel(std::string_view bytes, size_t num_threads) {
-  assert(!finished_);
-  // Serial prefix: complete any buffered fragment and consume the header
-  // line; the chunk workers assume a validated header and line-aligned
-  // input.
-  while (!bytes.empty() && (!header_ok_ || !pending_.empty())) {
-    const size_t nl = bytes.find('\n');
-    if (nl == std::string_view::npos) {
-      Append(bytes);
-      return;
-    }
-    Append(bytes.substr(0, nl + 1));
-    bytes.remove_prefix(nl + 1);
-  }
-  const size_t last_nl = bytes.rfind('\n');
-  if (last_nl == std::string_view::npos) {
-    Append(bytes);
-    return;
-  }
-  const std::string_view region = bytes.substr(0, last_nl + 1);
-  const std::string_view tail = bytes.substr(last_nl + 1);
-  const size_t threads =
-      ThreadPool::ClampThreadsForBytes(num_threads, region.size());
-  if (threads <= 1) {
-    Append(region);
-    if (!tail.empty()) Append(tail);
-    return;
-  }
-
-  // Line-aligned chunks, one per worker.
-  struct Chunk {
-    size_t begin = 0;
-    size_t end = 0;
-    uint64_t first_line = 0;  ///< 1-based line number of the chunk's first line
-    std::vector<ParsedRow> rows;
-    std::vector<std::pair<uint64_t, std::string>> errors;
-    uint64_t error_count = 0;
-  };
-  std::vector<Chunk> chunks;
-  chunks.reserve(threads);
-  const size_t target = region.size() / threads;
-  size_t begin = 0;
-  while (begin < region.size()) {
-    size_t end = std::min(begin + std::max<size_t>(target, 1), region.size());
-    const size_t nl = region.find('\n', end == 0 ? 0 : end - 1);
-    end = nl == std::string_view::npos ? region.size() : nl + 1;
-    Chunk chunk;
-    chunk.begin = begin;
-    chunk.end = end;
-    chunks.push_back(std::move(chunk));
-    begin = end;
-  }
-  // Line numbers are a prefix sum of per-chunk newline counts, computed
-  // before the parallel parse so workers can label errors exactly as the
-  // serial path would.
-  uint64_t line = lines_seen_;
-  for (Chunk& chunk : chunks) {
-    chunk.first_line = line + 1;
-    line += static_cast<uint64_t>(
-        std::count(region.begin() + chunk.begin, region.begin() + chunk.end,
-                   '\n'));
-  }
-
-  ThreadPool pool(threads);
-  pool.ParallelFor(chunks.size(), [&](size_t index) {
-    Chunk& chunk = chunks[index];
-    std::string_view text = region.substr(chunk.begin, chunk.end - chunk.begin);
-    uint64_t line_number = chunk.first_line;
-    ParsedRow row;
-    row.numeric.resize(schema_->num_attributes(), 0.0);
-    row.categorical.resize(schema_->num_attributes(), kInvalidCategory);
-    size_t start = 0;
-    while (start < text.size()) {
-      size_t nl = text.find('\n', start);
-      assert(nl != std::string_view::npos);
-      const std::string_view full = text.substr(start, nl - start);
-      const std::string_view line_text = StripCr(full);
-      std::string error;
-      if (line_text.empty()) {
-        ++chunk.error_count;
-        chunk.errors.emplace_back(line_number,
-                                  Located(line_number, "empty line"));
-      } else if (ParseLine(line_text, line_number, &row, &error)) {
-        chunk.rows.push_back(row);
-      } else {
-        ++chunk.error_count;
-        chunk.errors.emplace_back(line_number, std::move(error));
-      }
-      ++line_number;
-      start = nl + 1;
-    }
-  });
-
-  // Deterministic merge in file order.
-  for (Chunk& chunk : chunks) {
-    for (const ParsedRow& row : chunk.rows) {
-      ++rows_emitted_;
-      if (row_fn_) row_fn_(row);
-    }
-    error_count_ += chunk.error_count;
-    for (auto& [line_number, message] : chunk.errors) {
-      (void)line_number;
-      if (errors_.size() < options_.max_errors) {
-        errors_.push_back(std::move(message));
-      }
-    }
-  }
-  lines_seen_ = line;
-  if (!tail.empty()) Append(tail);
-}
-
 void FeedParser::Finish() {
   if (finished_) return;
   if (!pending_.empty()) {
@@ -305,27 +190,17 @@ void FeedParser::Finish() {
 
 StatusOr<FeedTailer> FeedTailer::Open(const std::string& path,
                                       const Schema* schema,
-                                      FeedParser::RowFn fn, Options options) {
-  FeedParser parser(schema, path, options.parser);
+                                      FeedParser::RowFn fn) {
+  FeedParser parser(schema, path);
   parser.set_row_fn(std::move(fn));
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::NotFound("stream feed: cannot open " + path + ": " +
                             std::strerror(errno));
   }
-  StatusOr<MappedFile> mapped = MappedFile::Open(path, options.allow_mmap);
-  if (!mapped.ok()) {
-    ::close(fd);
-    return mapped.status();
-  }
   FeedTailer tailer(std::move(parser), fd);
-  const std::string_view bytes = mapped->bytes();
-  tailer.parser_.AppendParallel(bytes, options.catchup_threads);
-  tailer.bytes_consumed_ = bytes.size();
-  if (::lseek(fd, static_cast<off_t>(bytes.size()), SEEK_SET) < 0) {
-    return Status::IOError("stream feed: cannot seek " + path + ": " +
-                           std::strerror(errno));
-  }
+  StatusOr<size_t> caught_up = tailer.Poll();
+  if (!caught_up.ok()) return caught_up.status();
   return tailer;
 }
 
@@ -334,17 +209,6 @@ FeedTailer::FeedTailer(FeedTailer&& other) noexcept
       fd_(other.fd_),
       bytes_consumed_(other.bytes_consumed_) {
   other.fd_ = -1;
-}
-
-FeedTailer& FeedTailer::operator=(FeedTailer&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    parser_ = std::move(other.parser_);
-    fd_ = other.fd_;
-    bytes_consumed_ = other.bytes_consumed_;
-    other.fd_ = -1;
-  }
-  return *this;
 }
 
 FeedTailer::~FeedTailer() {

@@ -16,17 +16,14 @@
 //     them — while a structural defect (wrong arity, unparseable or
 //     non-finite numeric, unknown class label) rejects only that row with a
 //     located error "feed:<name>:<line>: <msg>". Feeding the same bytes in
-//     different fragmentations is bit-identical by construction, and
-//     AppendParallel chunks a large backlog over a ThreadPool with the same
-//     guarantee (fixed schema = no dictionary merge; rows re-emitted in
-//     file order).
+//     different fragmentations is bit-identical by construction.
 //
-//   * FeedTailer — the file transport: an initial catch-up pass over the
-//     existing content (MappedFile + AppendParallel), then incremental
-//     io::Read tail polls from the consumed offset, so the syscall fault-
-//     injection harness covers the read path. The tailer never seeks
-//     backward and never re-reads consumed bytes; a final Finish() flushes
-//     a trailing unterminated line at explicit end-of-feed only.
+//   * FeedTailer — the file transport: io::Read polls from the consumed
+//     offset, starting with a catch-up pass over the existing content, so
+//     the syscall fault-injection harness covers every read. The tailer
+//     never seeks backward and never re-reads consumed bytes; a final
+//     Finish() flushes a trailing unterminated line at explicit
+//     end-of-feed only.
 
 #ifndef PNR_STREAM_FEED_H_
 #define PNR_STREAM_FEED_H_
@@ -56,32 +53,19 @@ struct ParsedRow {
 
 class FeedParser {
  public:
-  struct Options {
-    char delimiter = ',';
-    /// Located error messages retained; further errors only count.
-    size_t max_errors = 64;
-  };
+  /// Located error messages retained; further errors only count.
+  static constexpr size_t kMaxErrors = 64;
 
   using RowFn = std::function<void(const ParsedRow&)>;
 
   /// `schema` must outlive the parser. `name` labels errors.
-  FeedParser(const Schema* schema, std::string name, Options options);
-  FeedParser(const Schema* schema, std::string name)
-      : FeedParser(schema, std::move(name), Options()) {}
+  FeedParser(const Schema* schema, std::string name);
 
   /// Sink for emitted rows. Must be set before the first Append.
   void set_row_fn(RowFn fn) { row_fn_ = std::move(fn); }
 
   /// Consumes a fragment: parses every complete line, buffers the rest.
   void Append(std::string_view bytes);
-
-  /// Consumes a large fragment with `num_threads` workers (clamped by
-  /// ThreadPool::ClampThreadsForBytes): complete lines are split into
-  /// line-aligned chunks, parsed concurrently into per-chunk rows/errors,
-  /// and re-emitted in file order — bit-identical to Append at any thread
-  /// count. The trailing unterminated line is buffered exactly as Append
-  /// would.
-  void AppendParallel(std::string_view bytes, size_t num_threads);
 
   /// Flushes a trailing unterminated line as a final record. Only call at
   /// explicit end-of-feed; Append may not be called afterwards.
@@ -96,7 +80,7 @@ class FeedParser {
   /// Total rejected lines (header failures count once per bad line).
   uint64_t error_count() const { return error_count_; }
 
-  /// The first `max_errors` located messages.
+  /// The first kMaxErrors located messages.
   const std::vector<std::string>& errors() const { return errors_; }
 
  private:
@@ -112,7 +96,6 @@ class FeedParser {
 
   const Schema* schema_;
   std::string name_;
-  Options options_;
   RowFn row_fn_;
   std::string pending_;  ///< unterminated trailing fragment
   bool header_ok_ = false;
@@ -127,28 +110,14 @@ class FeedParser {
 /// File transport over a FeedParser: catch-up then incremental tailing.
 class FeedTailer {
  public:
-  struct Options {
-    FeedParser::Options parser;
-    /// Threads for the initial catch-up parse (0 = hardware concurrency).
-    size_t catchup_threads = 1;
-    /// Memory-map the catch-up region when possible.
-    bool allow_mmap = true;
-  };
-
   /// Opens `path` and runs the catch-up pass over its current content.
   /// Rows reach `fn` during this call. The underlying file may keep
   /// growing; call Poll() to consume appended bytes.
   static StatusOr<FeedTailer> Open(const std::string& path,
-                                   const Schema* schema, FeedParser::RowFn fn,
-                                   Options options);
-  static StatusOr<FeedTailer> Open(const std::string& path,
-                                   const Schema* schema,
-                                   FeedParser::RowFn fn) {
-    return Open(path, schema, std::move(fn), Options());
-  }
+                                   const Schema* schema, FeedParser::RowFn fn);
 
   FeedTailer(FeedTailer&& other) noexcept;
-  FeedTailer& operator=(FeedTailer&& other) noexcept;
+  FeedTailer& operator=(FeedTailer&&) = delete;
   FeedTailer(const FeedTailer&) = delete;
   FeedTailer& operator=(const FeedTailer&) = delete;
   ~FeedTailer();

@@ -2,13 +2,11 @@
 //
 // Every syscall the untrusted-input subsystems make — socket reads/writes,
 // accept, mmap, bulk file reads, and the large allocations that back them —
-// goes through the thin wrappers in common/io_hooks.h. In a build with
-// PNR_FAULT_INJECT defined (the default; see the CMake option) those
-// wrappers first consult the FaultPlan installed here, which can fail the
-// Nth call outright, deliver EINTR, or truncate transfers to short
-// reads/writes on a seeded pseudo-random schedule. Without an installed
-// plan the wrappers pass straight through, and with PNR_FAULT_INJECT
-// compiled out they inline to the raw syscalls.
+// goes through the thin wrappers in common/io_hooks.h. Those wrappers first
+// consult the FaultPlan installed here, which can fail the Nth call
+// outright, deliver EINTR, or truncate transfers to short reads/writes on a
+// seeded pseudo-random schedule. Without an installed plan the wrappers
+// pass straight through.
 //
 // The plan is process-global (installed/removed with RAII via
 // ScopedFaultPlan) and its decisions are drawn from one seeded SplitMix64
@@ -40,7 +38,7 @@ enum class FaultOp : int {
   kWrite,      ///< file writes (file_io)
   kRecv,       ///< socket receives (common/net RecvSome)
   kSend,       ///< socket sends (common/net SendAll)
-  kAccept,     ///< accept(2) (common/net AcceptConnection)
+  kAccept,     ///< accept(2) (common/net AcceptNb)
   kMmap,       ///< mmap(2) (data/mapped_file)
   kAlloc,      ///< large-buffer admission checks (file_io)
 };

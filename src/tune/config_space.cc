@@ -114,16 +114,6 @@ Status ParseAlgorithms(const ParsedLine& line, const LineCursor& cursor,
 
 }  // namespace
 
-const char* TuneAlgorithmName(TuneAlgorithm algorithm) {
-  switch (algorithm) {
-    case TuneAlgorithm::kPnrule:
-      return "pnrule";
-    case TuneAlgorithm::kCba:
-      return "cba";
-  }
-  return "unknown";
-}
-
 std::string TrialConfig::Describe() const {
   if (algorithm == TuneAlgorithm::kCba) {
     std::string out = "cba sup=" + FormatDouble(cba.min_support, 3);

@@ -50,9 +50,6 @@ namespace pnr {
 /// Learner family a trial trains.
 enum class TuneAlgorithm { kPnrule, kCba };
 
-/// Canonical name ("pnrule", "cba").
-const char* TuneAlgorithmName(TuneAlgorithm algorithm);
-
 /// One raced configuration: the learner family, its full config, and the
 /// decision threshold applied to the trained classifier. Only the config of
 /// the selected family is meaningful; the other keeps its defaults.

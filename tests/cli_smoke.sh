@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# CLI smoke: runs every pnr subcommand but tune (tune_smoke covers it) on a
-# tiny generated drift scenario, so a handler that reads a flag its
-# subcommand does not declare in src/cli/flags.cc aborts here. Also checks
-# that a bad command line exits 2 before doing any work. Registered with
-# ctest as cli_smoke; needs only bash, grep and cmp.
+# CLI smoke: runs every pnr subcommand on a tiny generated drift scenario
+# (tune on a tiny kdd_sim race with a grid file), so a handler that reads a
+# flag its subcommand does not declare in src/cli/flags.cc aborts here. Also
+# checks that a bad command line exits 2 before doing any work. Registered
+# with ctest as cli_smoke; needs only bash, grep and cmp.
 #
 # Usage: tests/cli_smoke.sh <path-to-pnr>
 
@@ -73,6 +73,16 @@ cmp <(grep "^window " stream.log) <(grep "^window " follow.log)
        --window 400 --retrain-rows 1200 --checkpoint ckpt --resume \
        > resume.log 2> resume.err
 grep -q "^resumed at window " resume.log
+
+echo "== tune with a grid file, CBA trials, --metric and --out =="
+printf 'algorithm = pnrule, cba\nrp = 0.99\nrn = 0.9\ncba_support = 0.01\n' \
+       > grid.txt
+"$pnr" tune --synth kdd --target probe --synth-train 3000 --synth-test 2000 \
+       --folds 3 --config grid.txt --metric f --out art > tune.log
+grep -q "objective f-measure" tune.log
+grep -q "^cba sup=" tune.log
+[ -s art/EXPERIMENTS.md ] || { echo "no tune EXPERIMENTS.md" >&2; exit 1; }
+[ -s art/BENCH_tune.json ] || { echo "no tune BENCH_tune.json" >&2; exit 1; }
 
 echo "== serve + probe =="
 "$pnr" serve --models m=m.txt --port 0 --shards 1 > serve.log &

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 
@@ -85,25 +87,35 @@ TEST(CsvTest, WriteThenReadRoundTrips) {
   const std::string text =
       "x,service,label\n"
       "1.5,http,pos\n"
-      "2,ftp,neg\n";
-  auto original = ReadCsvFromString(text);
-  ASSERT_TRUE(original.ok());
+      "2,ftp,neg\n"
+      "0,http,neg\n"  // overwritten with 0.1 + 0.2 below
+      "1e-300,ftp,pos\n"
+      "5e-324,http,neg\n"
+      "123456789.123456789,ftp,neg\n"
+      "-0.0,http,pos\n";
+  auto parsed = ReadCsvFromString(text);
+  ASSERT_TRUE(parsed.ok());
+  Dataset original = std::move(parsed).value();
+  // 0.1 + 0.2 needs all 17 significant digits to round-trip.
+  original.set_numeric(2, 0, 0.1 + 0.2);
 
   const std::string path = ::testing::TempDir() + "/pnr_csv_test.csv";
-  ASSERT_TRUE(WriteCsv(*original, path).ok());
+  ASSERT_TRUE(WriteCsv(original, path).ok());
   auto reloaded = ReadCsv(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  ASSERT_EQ(reloaded->num_rows(), original->num_rows());
+  ASSERT_EQ(reloaded->num_rows(), original.num_rows());
   for (RowId r = 0; r < reloaded->num_rows(); ++r) {
-    EXPECT_DOUBLE_EQ(reloaded->numeric(r, 0), original->numeric(r, 0));
+    EXPECT_EQ(std::bit_cast<uint64_t>(reloaded->numeric(r, 0)),
+              std::bit_cast<uint64_t>(original.numeric(r, 0)))
+        << "row " << r << ": " << original.numeric(r, 0);
     EXPECT_EQ(reloaded->schema().attribute(1).CategoryName(
                   reloaded->categorical(r, 1)),
-              original->schema().attribute(1).CategoryName(
-                  original->categorical(r, 1)));
+              original.schema().attribute(1).CategoryName(
+                  original.categorical(r, 1)));
     EXPECT_EQ(reloaded->schema().class_attr().CategoryName(
                   reloaded->label(r)),
-              original->schema().class_attr().CategoryName(
-                  original->label(r)));
+              original.schema().class_attr().CategoryName(
+                  original.label(r)));
   }
   std::remove(path.c_str());
 }

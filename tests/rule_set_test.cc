@@ -6,8 +6,11 @@
 #include <cmath>
 #include <initializer_list>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "rules/cmp_span.h"
 #include "rules/compiled_rule_set.h"
 #include "test_util.h"
 
@@ -130,6 +133,57 @@ TEST(CompiledRuleSetTest, ConditionMasksMatchEveryCondition) {
   for (RowId r = 0; r < dataset.num_rows(); ++r) {
     EXPECT_EQ(program.FirstMatchRow(0, dataset, r),
               rules.FirstMatch(dataset, r));
+  }
+}
+
+// Every span-kernel tier this CPU runs (portable, sse2, avx, avx512f)
+// against a per-value reference, on spans whose last mask word is empty,
+// partial and full, with NaN, signed zeros and infinities among both the
+// values and the thresholds. Only the widest tier runs anywhere else.
+TEST(CompiledRuleSetTest, EveryCmpSpanTierMatchesScalarReference) {
+  const std::vector<CmpSpanKernel>& tiers = SupportedCmpSpanKernels();
+  ASSERT_FALSE(tiers.empty());
+  EXPECT_STREQ(tiers.front().name, "portable");
+  EXPECT_EQ(ActiveCmpSpanKernel().span, tiers.back().span);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials = {nan, -0.0, 0.0, inf, -inf, 1.5, -2.0};
+  Rng rng(17);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                         size_t{65}, size_t{130}}) {
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = rng.NextBool(0.5) ? specials[rng.NextBelow(specials.size())]
+                            : rng.NextDouble(-3.0, 3.0);
+    }
+    const size_t words = (n + 63) / 64;
+    for (const CmpKind kind : {CmpKind::kLe, CmpKind::kGt, CmpKind::kRange}) {
+      for (const double lo : specials) {
+        for (const double hi : specials) {
+          std::vector<uint64_t> expected(words, 0);
+          for (size_t i = 0; i < n; ++i) {
+            const double v = values[i];
+            const bool bit = kind == CmpKind::kLe   ? v <= hi
+                             : kind == CmpKind::kGt ? v > lo
+                                                    : v >= lo && v <= hi;
+            expected[i / 64] |= static_cast<uint64_t>(bit) << (i % 64);
+          }
+          for (const CmpSpanKernel& tier : tiers) {
+            SCOPED_TRACE(std::string(tier.name) + " n=" + std::to_string(n) +
+                         " kind=" + std::to_string(static_cast<int>(kind)) +
+                         " lo=" + std::to_string(lo) +
+                         " hi=" + std::to_string(hi));
+            // One guard word past the span: a kernel writes exactly
+            // ceil(n/64) words.
+            std::vector<uint64_t> got(words + 1, 0xdeadbeefULL);
+            tier.span(values.data(), n, lo, hi, kind, got.data());
+            EXPECT_EQ(got.back(), 0xdeadbeefULL);
+            got.pop_back();
+            EXPECT_EQ(got, expected);
+          }
+        }
+      }
+    }
   }
 }
 

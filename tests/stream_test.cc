@@ -45,13 +45,11 @@ struct Collected {
 };
 
 Collected Collect(const Schema& schema, const std::string& text,
-                  size_t fragment = 0, size_t parallel_threads = 0) {
+                  size_t fragment = 0) {
   FeedParser parser(&schema, "test");
   Collected out;
   parser.set_row_fn([&](const ParsedRow& row) { out.rows.push_back(row); });
-  if (parallel_threads > 0) {
-    parser.AppendParallel(text, parallel_threads);
-  } else if (fragment == 0) {
+  if (fragment == 0) {
     parser.Append(text);
   } else {
     for (size_t at = 0; at < text.size(); at += fragment) {
@@ -180,18 +178,6 @@ TEST(FeedParserTest, FragmentationIsInvisible) {
   ExpectSameRows(whole, Collect(schema, text, /*fragment=*/1));
   ExpectSameRows(whole, Collect(schema, text, /*fragment=*/7));
   ExpectSameRows(whole, Collect(schema, text, /*fragment=*/4096));
-}
-
-TEST(FeedParserTest, AppendParallelMatchesSerialAppend) {
-  const Schema schema = TinySchema();
-  // Big enough that ClampThreadsForBytes actually grants multiple chunk
-  // workers (1 MiB per thread), so the parallel merge path is exercised.
-  const std::string text = BuildBigFeed(260000);
-  ASSERT_GT(text.size(), 2u << 20);
-  const Collected serial = Collect(schema, text);
-  EXPECT_GT(serial.error_count, 0u);
-  ExpectSameRows(serial, Collect(schema, text, 0, /*parallel_threads=*/2));
-  ExpectSameRows(serial, Collect(schema, text, 0, /*parallel_threads=*/8));
 }
 
 // ---------------------------------------------------------------------------

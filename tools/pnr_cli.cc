@@ -745,11 +745,9 @@ int Stream(const Flags& flags) {
     std::printf("serving on 127.0.0.1:%u while streaming\n", server->port());
   }
 
-  FeedTailer::Options tail_options;
-  tail_options.catchup_threads = options.score_threads;
   auto opened = FeedTailer::Open(
       flags.Text("data"), &*schema,
-      [&engine](const ParsedRow& row) { engine.Ingest(row); }, tail_options);
+      [&engine](const ParsedRow& row) { engine.Ingest(row); });
   if (!opened.ok()) return Fail(opened.status());
   FeedTailer tailer = std::move(opened).value();
 
