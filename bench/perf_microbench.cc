@@ -9,13 +9,23 @@
 // PNR_BENCH_JSON environment variable when it is set (see
 // BENCH_condition_search.json at the repo root). PNR_BENCH_COMPARE_ITERS
 // overrides the number of timed calls per configuration (default 20).
+// The comparison searches every row and two strict subsets, one on each
+// side of the engine's rank-sort / group-filter crossover for subset
+// columns. A thread count above the machine's hardware threads is
+// reported as "not measured": it can only time-slice.
+//
+// The bench uses only the engine's public API, so it also builds against
+// an earlier library; BENCH_condition_search.json nests such a run of this
+// same source, on the same machine, under "parent".
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <iterator>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,6 +167,29 @@ void BM_ConditionSearchOneSided(benchmark::State& state) {
 }
 BENCHMARK(BM_ConditionSearchOneSided)->Unit(benchmark::kMillisecond);
 
+// Strict row subsets of `rows`: every `period`-th row (a few percent, so the
+// engine sorts the subset's ranks) or all but every `period`-th row (most
+// rows, so it filters the cached order group by group).
+RowSubset EveryNth(const RowSubset& rows, size_t period, bool keep_nth) {
+  RowSubset out;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if ((i % period == 0) == keep_nth) out.push_back(rows[i]);
+  }
+  return out;
+}
+
+// The subset searches of the JSON comparison and of
+// BM_ConditionSearchEngineSubset.
+struct SubsetConfig {
+  const char* name;
+  size_t period;
+  bool keep_nth;
+};
+constexpr SubsetConfig kSubsetConfigs[] = {
+    {"rank_sort_2.5pct", 40, true},
+    {"group_filter_67pct", 3, false},
+};
+
 // Persistent engine: the sorted-column cache is warm after the first call,
 // so steady-state cost is the prefix-sum scans only. Arg = thread count.
 void BM_ConditionSearchEngine(benchmark::State& state) {
@@ -177,8 +210,29 @@ BENCHMARK(BM_ConditionSearchEngine)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+// Persistent engine on a strict subset, the call pattern of a rule being
+// grown: the column is rebuilt from the cache on every call. Arg = index
+// into kSubsetConfigs.
+void BM_ConditionSearchEngineSubset(benchmark::State& state) {
+  SearchFixture fx(/*enable_ranges=*/true);
+  const SubsetConfig& config = kSubsetConfigs[state.range(0)];
+  const RowSubset rows = EveryNth(fx.rows, config.period, config.keep_nth);
+  ConditionSearchEngine engine(fx.data.train, 1);
+  for (auto _ : state) {
+    auto best = engine.FindBest(rows, fx.target, fx.scorer, fx.options);
+    benchmark::DoNotOptimize(best);
+  }
+  state.SetLabel(config.name);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows.size()));
+}
+BENCHMARK(BM_ConditionSearchEngineSubset)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
 // ---------------------------------------------------------------------------
-// Serial-vs-engine comparison written as JSON (satellite: perf evidence).
+// Serial-vs-engine comparison written as JSON.
 
 // Best-of-N process-CPU time per call. CPU time is far less noisy than
 // wall-clock on shared builders, and the minimum over N runs is the stable
@@ -196,6 +250,15 @@ double MillisPerCall(const std::function<void()>& call, int iterations) {
     if (ms < best) best = ms;
   }
   return best;
+}
+
+bool SameResult(const std::optional<CandidateCondition>& got,
+                const std::optional<CandidateCondition>& expected) {
+  return got.has_value() == expected.has_value() &&
+         (!got.has_value() ||
+          (!CandidateBetter(*got, *expected) &&
+           !CandidateBetter(*expected, *got) &&
+           got->value == expected->value));
 }
 
 int WriteConditionSearchComparison(const char* path) {
@@ -227,8 +290,9 @@ int WriteConditionSearchComparison(const char* path) {
           std::to_string(fx.data.train.schema().num_attributes()) + "},\n";
   json += "  \"iterations\": " + std::to_string(iterations) + ",\n";
   json += "  \"timing\": \"best_of_n_process_cpu_ms\",\n";
-  json += "  \"hardware_threads\": " +
-          std::to_string(std::thread::hardware_concurrency()) + ",\n";
+  const size_t hardware_threads = std::thread::hardware_concurrency();
+  json += "  \"hardware_threads\": " + std::to_string(hardware_threads) +
+          ",\n";
   json += "  \"min_rows_per_thread\": " +
           std::to_string(ThreadPool::kMinRowsPerThread) + ",\n";
   char buf[64];
@@ -248,32 +312,61 @@ int WriteConditionSearchComparison(const char* path) {
     const size_t threads_resolved = engine.num_threads();
     const size_t threads_effective =
         ThreadPool::ClampThreadsForRows(threads, fx.rows.size());
+    const auto got = engine.FindBest(fx.rows, target, fx.scorer, fx.options);
+    const bool same = SameResult(got, reference);
+    deterministic = deterministic && same;
+    json += "    {\"threads_requested\": " + std::to_string(threads) +
+            ", \"threads_resolved\": " + std::to_string(threads_resolved) +
+            ", \"threads_effective\": " + std::to_string(threads_effective);
+    if (threads_resolved > hardware_threads) {
+      // More threads than cores only time-slice: no scaling to report.
+      json += ", \"ms_per_call\": \"not measured\"";
+    } else {
+      const double ms = MillisPerCall(
+          [&] {
+            auto best =
+                engine.FindBest(fx.rows, target, fx.scorer, fx.options);
+            benchmark::DoNotOptimize(best);
+          },
+          iterations);
+      const double speedup = ms > 0.0 ? serial_ms / ms : 0.0;
+      if (speedup > best_speedup) best_speedup = speedup;
+      std::snprintf(buf, sizeof(buf), "%.4f", ms);
+      json += ", \"ms_per_call\": " + std::string(buf);
+      std::snprintf(buf, sizeof(buf), "%.2f", speedup);
+      json += ", \"speedup_vs_transient\": " + std::string(buf);
+    }
+    json += std::string(", \"matches_serial_result\": ") +
+            (same ? "true" : "false") + "}";
+    json += t + 1 < 3 ? ",\n" : "\n";
+  }
+  json += "  ],\n";
+
+  // Strict subsets through a warm single-thread engine: each call builds
+  // every numeric column from the cache, by rank sort or group filter.
+  json += "  \"subsets\": [\n";
+  for (size_t c = 0; c < std::size(kSubsetConfigs); ++c) {
+    const SubsetConfig& config = kSubsetConfigs[c];
+    const RowSubset rows = EveryNth(fx.rows, config.period, config.keep_nth);
+    const auto expected = FindBestCondition(fx.data.train, rows, target,
+                                            fx.scorer, fx.options);
+    ConditionSearchEngine engine(fx.data.train, 1);
     const double ms = MillisPerCall(
         [&] {
-          auto best = engine.FindBest(fx.rows, target, fx.scorer, fx.options);
+          auto best = engine.FindBest(rows, target, fx.scorer, fx.options);
           benchmark::DoNotOptimize(best);
         },
         iterations);
-    const auto got = engine.FindBest(fx.rows, target, fx.scorer, fx.options);
-    const bool same =
-        got.has_value() == reference.has_value() &&
-        (!got.has_value() ||
-         (!CandidateBetter(*got, *reference) &&
-          !CandidateBetter(*reference, *got) &&
-          got->value == reference->value));
+    const bool same = SameResult(
+        engine.FindBest(rows, target, fx.scorer, fx.options), expected);
     deterministic = deterministic && same;
-    const double speedup = ms > 0.0 ? serial_ms / ms : 0.0;
-    if (speedup > best_speedup) best_speedup = speedup;
     std::snprintf(buf, sizeof(buf), "%.4f", ms);
-    json += "    {\"threads_requested\": " + std::to_string(threads) +
-            ", \"threads_resolved\": " + std::to_string(threads_resolved) +
-            ", \"threads_effective\": " + std::to_string(threads_effective) +
-            ", \"ms_per_call\": " + std::string(buf);
-    std::snprintf(buf, sizeof(buf), "%.2f", speedup);
-    json += ", \"speedup_vs_transient\": " + std::string(buf) +
-            ", \"matches_serial_result\": " + (same ? "true" : "false") +
+    json += std::string("    {\"name\": \"") + config.name +
+            "\", \"rows\": " + std::to_string(rows.size()) +
+            ", \"threads\": 1, \"ms_per_call\": " + buf +
+            ", \"matches_transient_result\": " + (same ? "true" : "false") +
             "}";
-    json += t + 1 < 3 ? ",\n" : "\n";
+    json += c + 1 < std::size(kSubsetConfigs) ? ",\n" : "\n";
   }
   json += "  ],\n";
   std::snprintf(buf, sizeof(buf), "%.2f", best_speedup);

@@ -92,7 +92,10 @@ class Dataset {
   void set_categorical(RowId row, AttrIndex attr, CategoryId value);
 
   CategoryId label(RowId row) const { return labels_[row]; }
-  void set_label(RowId row, CategoryId value) { labels_[row] = value; }
+  void set_label(RowId row, CategoryId value) {
+    labels_[row] = value;
+    ++data_version_;
+  }
 
   double weight(RowId row) const { return weights_[row]; }
   void set_weight(RowId row, double value) {
@@ -102,7 +105,8 @@ class Dataset {
 
   // -- Mutation counters (cache invalidation) -------------------------------
 
-  /// Incremented whenever rows are added or cell values change. Caches of
+  /// Incremented whenever rows are added or cell values or labels change
+  /// (the full-row columns' positive sums read labels). Caches of
   /// derived per-column structure (e.g. sorted orders) key on this.
   /// Paging faults/evictions do NOT bump it: the logical data is unchanged.
   uint64_t data_version() const { return data_version_; }

@@ -46,6 +46,8 @@ struct SearchState {
     if (stats.positive < options->min_positive_weight - kEps) return kNegInf;
     const double value = (*scorer)(stats);
     if (!std::isfinite(value)) return kNegInf;
+    // CandidateBetter ranks by value first: a lower value never wins.
+    if (best.has_value() && value < best->value) return value;
     const CandidateCondition candidate{condition, stats, value};
     if (!best.has_value() || CandidateBetter(candidate, *best)) {
       best = candidate;
@@ -90,26 +92,28 @@ RuleStats SliceStats(const SortedColumn& col, size_t from, size_t to) {
 
 void ScanNumeric(const SortedColumn& col, AttrIndex attr,
                  SearchState* state) {
-  if (col.boundaries.empty()) return;  // constant attribute
+  const size_t groups = col.size();
+  if (groups < 2) return;  // constant attribute: no cut
 
-  // Single scan: best one-sided conditions.
+  // Single scan: best one-sided conditions. Every group start but the
+  // first is a cut.
   double best_le_value = kNegInf;
   double best_gt_value = kNegInf;
-  size_t best_le_boundary = 0;
-  size_t best_gt_boundary = 0;
-  for (size_t b : col.boundaries) {
+  size_t best_le_cut = 0;
+  size_t best_gt_cut = 0;
+  for (size_t b = 1; b < groups; ++b) {
     const double cut = col.CutValue(b);
     const double le_value =
         state->Consider(Condition::LessEqual(attr, cut), SliceStats(col, 0, b));
     if (le_value > best_le_value) {
       best_le_value = le_value;
-      best_le_boundary = b;
+      best_le_cut = b;
     }
-    const double gt_value = state->Consider(
-        Condition::Greater(attr, cut), SliceStats(col, b, col.values.size()));
+    const double gt_value = state->Consider(Condition::Greater(attr, cut),
+                                            SliceStats(col, b, groups));
     if (gt_value > best_gt_value) {
       best_gt_value = gt_value;
-      best_gt_boundary = b;
+      best_gt_cut = b;
     }
   }
 
@@ -120,20 +124,18 @@ void ScanNumeric(const SortedColumn& col, AttrIndex attr,
   // the better one-sided condition, scan for the opposite limit. The lower
   // limit uses the round-up cut because kInRange's lower test is inclusive.
   if (best_gt_value >= best_le_value) {
-    // Fix the left limit vl = cut(best_gt_boundary); scan right limits.
-    const size_t left = best_gt_boundary;
+    // Fix the left limit vl = cut(best_gt_cut); scan right limits.
+    const size_t left = best_gt_cut;
     const double lo = col.LowerCutValue(left);
-    for (size_t b : col.boundaries) {
-      if (b <= left) continue;
+    for (size_t b = left + 1; b < groups; ++b) {
       state->Consider(Condition::InRange(attr, lo, col.CutValue(b)),
                       SliceStats(col, left, b));
     }
   } else {
-    // Fix the right limit vr = cut(best_le_boundary); scan left limits.
-    const size_t right = best_le_boundary;
+    // Fix the right limit vr = cut(best_le_cut); scan left limits.
+    const size_t right = best_le_cut;
     const double hi = col.CutValue(right);
-    for (size_t b : col.boundaries) {
-      if (b >= right) break;
+    for (size_t b = 1; b < right; ++b) {
       state->Consider(Condition::InRange(attr, col.LowerCutValue(b), hi),
                       SliceStats(col, b, right));
     }
@@ -211,7 +213,7 @@ std::optional<CandidateCondition> ConditionSearchEngine::FindBest(
       ScanCategorical(dataset_, cache_.Codes(attr), rows, target, attr,
                       &state);
     } else {
-      // Zonemap pruning: a constant column has no boundaries and thus no
+      // Zonemap pruning: a constant column has no cut and thus no
       // candidates, so the scan is skipped without faulting or sorting it.
       if (ConstantByHint(dataset_, attr)) {
         pruned_attr_scans_.fetch_add(1);

@@ -118,15 +118,15 @@ class ConditionSearchEngine {
 
   /// The `n` of the MDL theory cost (CountPossibleConditions), computed once
   /// per data_version from the cache: a numeric column's distinct values
-  /// are its sorted values' boundaries + 1. Columns the zonemap proves
+  /// are counted when its order is built. Columns the zonemap proves
   /// constant contribute nothing and are not read; orders not built yet are
   /// built in parallel, as by a search over every row.
   double PossibleConditions();
 
   /// Numeric attribute scans skipped because the dataset's zonemap range
-  /// hint proves the column constant (a constant column yields no
-  /// boundaries, hence no candidates — skipping it never changes the
-  /// result, but avoids faulting and sorting the column).
+  /// hint proves the column constant (a constant column yields no cut,
+  /// hence no candidates — skipping it never changes the result, but
+  /// avoids faulting and sorting the column).
   uint64_t pruned_attr_scans() const { return pruned_attr_scans_.load(); }
 
  private:

@@ -11,15 +11,17 @@
 // sums) are additionally cached and invalidated only when record weights
 // change (N-phase re-weighting, stratification); the sorted order survives.
 //
-// Next to each order the cache keeps the values in that order and every
-// row's rank in it, so a column over any row subset is built from the
-// cache alone: the dataset column is read once, when the order is built.
-// On a demand-paged dataset that is the only fault a numeric search takes
-// per attribute and engine. NaN cells sort after every number and are
-// left out of every SortedColumn — no numeric condition matches NaN.
-// A categorical attribute's slot holds a copy of its codes instead, taken
-// the same way, so categorical scans and coverage never go back to the
-// dataset either.
+// Next to each order the cache keeps the values in that order, every row's
+// rank in it, and where each distinct value's group of rows starts in it,
+// so a column over any row subset is built from the cache alone: the
+// dataset column is read once, when the order is built. On a demand-paged
+// dataset that is the only fault a numeric search takes per attribute and
+// engine. A column holds one entry per distinct value, not one per row:
+// a search scores cuts only between values. NaN cells sort after every
+// number and are left out of every SortedColumn — no numeric condition
+// matches NaN. A categorical attribute's slot holds a copy of its codes
+// instead, taken the same way, so categorical scans and coverage never go
+// back to the dataset either.
 
 #ifndef PNR_INDUCTION_SORTED_COLUMN_CACHE_H_
 #define PNR_INDUCTION_SORTED_COLUMN_CACHE_H_
@@ -27,7 +29,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -42,47 +43,45 @@ namespace pnr {
 /// data exactly like the slice it was derived from.
 double MidpointBetween(double lo, double hi, bool round_up);
 
-/// One numeric column restricted to a row subset, sorted by value, with
-/// prefix sums over weight / target-class weight. Rows whose cell is NaN
-/// are not part of the column.
+/// One numeric column restricted to a row subset, one entry (a group) per
+/// distinct value present in the subset, ascending, with prefix sums over
+/// weight / target-class weight at each group's start. A search cuts only
+/// where one value gives way to the next, so every index in [1, size()) is
+/// a candidate cut and nothing finer is kept. Rows whose cell is NaN are
+/// not part of the column.
 struct SortedColumn {
-  SortedColumn() = default;
-  // Copies re-point `values` at their own storage when the source owned
-  // its values; moves keep the buffer, so the view stays valid.
-  SortedColumn(const SortedColumn& other);
-  SortedColumn& operator=(const SortedColumn& other);
-  SortedColumn(SortedColumn&&) noexcept = default;
-  SortedColumn& operator=(SortedColumn&&) noexcept = default;
-
-  /// Subset values, ascending. The full-row column views the cache's
-  /// sorted values; a subset column views `owned_values`.
-  std::span<const double> values;
-  std::vector<double> prefix_weight;    ///< weight of entries [0, i)
-  std::vector<double> prefix_positive;  ///< positive weight of entries [0, i)
-  /// Indices i with values[i-1] < values[i]: candidate cut positions.
-  std::vector<size_t> boundaries;
+  /// Each group's value as its first member in (value, row id) order holds
+  /// it.
+  std::vector<double> values;
+  /// Each group's value as its last member holds it. Equal values have
+  /// equal bits except -0.0 and +0.0, so this differs from `values` only
+  /// in a group that mixes the two zeros.
+  std::vector<double> last_values;
+  std::vector<double> prefix_weight;    ///< weight of groups [0, g)
+  std::vector<double> prefix_positive;  ///< positive weight of groups [0, g)
   double total_weight = 0.0;
   double total_positive = 0.0;
 
-  /// Cut value for one-sided conditions at `boundary`: some c with
-  /// values[boundary-1] <= c < values[boundary], so that {x <= c} covers
-  /// exactly [0, boundary) and {x > c} exactly [boundary, n).
-  double CutValue(size_t boundary) const {
-    return MidpointBetween(values[boundary - 1], values[boundary],
+  /// Number of groups (distinct values).
+  size_t size() const { return values.size(); }
+
+  /// Cut value for one-sided conditions at group `cut`: some c with
+  /// last_values[cut-1] <= c < values[cut], so that {x <= c} covers
+  /// exactly groups [0, cut) and {x > c} exactly [cut, size()).
+  double CutValue(size_t cut) const {
+    return MidpointBetween(last_values[cut - 1], values[cut],
                            /*round_up=*/false);
   }
 
-  /// Lower limit for range conditions at `boundary`: some c with
-  /// values[boundary-1] < c <= values[boundary], so that {x >= c} covers
-  /// exactly [boundary, n) under kInRange's inclusive lower test.
-  double LowerCutValue(size_t boundary) const {
-    return MidpointBetween(values[boundary - 1], values[boundary],
+  /// Lower limit for range conditions at group `cut`: some c with
+  /// last_values[cut-1] < c <= values[cut], so that {x >= c} covers
+  /// exactly [cut, size()) under kInRange's inclusive lower test.
+  double LowerCutValue(size_t cut) const {
+    return MidpointBetween(last_values[cut - 1], values[cut],
                            /*round_up=*/true);
   }
 
   void Clear();
-
-  std::vector<double> owned_values;  ///< backing store of a subset column
 };
 
 /// Per-dataset cache of sorted numeric columns and categorical codes.
@@ -93,7 +92,8 @@ struct SortedColumn {
 /// concurrent calls.
 ///
 /// Bounded-memory mode: set_memory_budget(bytes) caps the resident bytes of
-/// cached orders, sorted values, rank maps, prefix columns and code copies.
+/// cached orders, sorted values, rank maps, group starts, full-row columns
+/// and code copies.
 /// Slots are evicted LRU when a build pushes the cache over budget; an
 /// evicted slot is simply rebuilt on next use (faulting a paged column again),
 /// deterministically, so results stay bit-identical at any budget.
@@ -170,11 +170,11 @@ class SortedColumnCache {
   /// When `rows` is the full dataset the result is served from a per-attr
   /// cache keyed on (target, weight_version) — i.e. invalidated only when
   /// record weights change. Otherwise `*scratch` is filled (by sorting the
-  /// subset's ranks, or by filtering the cached order when the subset is
-  /// large — both produce bit-identical columns) and returned. Neither
-  /// path reads the dataset column once the order is built. `mask` must
-  /// flag membership of every row in `rows` and is only read in the subset
-  /// case.
+  /// subset's ranks, or by walking the cached order group by group and
+  /// filtering it when the subset is large — both produce bit-identical
+  /// columns) and returned. Neither path reads the dataset column once the
+  /// order is built. `mask` must flag membership of every row in `rows`
+  /// and is only read in the subset case.
   const SortedColumn& Column(AttrIndex attr, CategoryId target,
                              const RowSubset& rows,
                              const std::vector<uint8_t>& mask,
@@ -192,12 +192,16 @@ class SortedColumnCache {
   size_t resident_bytes() const;
 
  private:
-  // A numeric slot holds order, sorted_values and rank; a categorical one
-  // holds codes. `order_version`/`order_valid` describe either kind.
+  // A numeric slot holds order, sorted_values, rank and group_start; a
+  // categorical one holds codes. `order_version`/`order_valid` describe
+  // either kind.
   struct PerAttr {
     std::vector<RowId> order;      ///< all rows by (value, row id), NaN last
     std::vector<double> sorted_values;  ///< non-NaN values in `order`
     std::vector<uint32_t> rank;    ///< row -> position in `order`
+    /// Position in `order` where each distinct value's group starts, then
+    /// sorted_values.size(): group g is [group_start[g], group_start[g+1]).
+    std::vector<uint32_t> group_start;
     std::vector<CategoryId> codes;  ///< categorical: row -> code
     uint64_t order_version = 0;    ///< data_version the slot was built at
     bool order_valid = false;
@@ -217,8 +221,8 @@ class SortedColumnCache {
     size_t bytes = 0;
   };
 
-  /// Builds `attr`'s order, sorted values and rank map when missing or
-  /// stale (which also drops the full-row column viewing the old values).
+  /// Builds `attr`'s order, sorted values, rank map and group starts when
+  /// missing or stale (which also drops the full-row column).
   PerAttr& EnsureOrder(AttrIndex attr);
   /// Whether `slot` was built at the dataset's current data_version.
   bool Current(const PerAttr& slot) const {
@@ -230,8 +234,14 @@ class SortedColumnCache {
   void AccountAndEvict(AttrIndex attr);
   void Unpin(AttrIndex attr);
   static size_t SlotBytes(const PerAttr& slot);
-  /// Fills `out` for the subset case; entries appear in (value, row id)
-  /// order regardless of the build strategy.
+  /// Fills `out` with the groups of the rows `keep` accepts, walking the
+  /// slot's order group by group: per row it reads only the order (and
+  /// the row's weight and label).
+  template <typename Keep>
+  void FillFromGroups(const PerAttr& slot, CategoryId target, const Keep& keep,
+                      SortedColumn* out) const;
+  /// Fills `out` for the subset case; rows are accumulated in
+  /// (value, row id) order regardless of the build strategy.
   void BuildSubsetColumn(const PerAttr& slot, CategoryId target,
                          const RowSubset& rows,
                          const std::vector<uint8_t>& mask, SortedColumn* out);

@@ -1,15 +1,18 @@
 // SortedColumnCache invalidation semantics — the contract the engine's
 // correctness rests on: columns are sorted once per dataset, full-row
-// prefix sums are rebuilt only when weights (or values) change, and the
-// subset path produces bit-identical columns whichever build strategy it
-// picks. Registered under the `sanitize` ctest label so the TSan/ASan
-// builds exercise it (tools/run_sanitizers.sh).
+// prefix sums are rebuilt only when weights (or values, or labels) change,
+// and every build path produces the same grouped column, bit for bit, as
+// collapsing a brute-force column of one entry per row into one entry per
+// distinct value. Registered under the `sanitize` ctest label so the
+// TSan/ASan builds exercise it (tools/run_sanitizers.sh).
 
 #include "induction/sorted_column_cache.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -63,19 +66,28 @@ TEST(SortedColumnCacheTest, ColumnIsSortedWithPrefixSums) {
   SortedColumn scratch;
   const SortedColumn& col = cache.Column(0, kPos, rows, {}, &scratch);
 
-  ASSERT_EQ(col.values.size(), dataset.num_rows());
-  for (size_t i = 1; i < col.values.size(); ++i) {
-    EXPECT_LE(col.values[i - 1], col.values[i]);
+  // One group per distinct value, strictly ascending: x takes 0..4.
+  ASSERT_EQ(col.size(), 5u);
+  EXPECT_EQ(col.size(), cache.DistinctValues(0));
+  EXPECT_EQ(col.last_values, col.values);
+  for (size_t g = 1; g < col.size(); ++g) {
+    EXPECT_LT(col.values[g - 1], col.values[g]);
   }
-  ASSERT_EQ(col.prefix_weight.size(), col.values.size() + 1);
+  ASSERT_EQ(col.prefix_weight.size(), col.size() + 1);
+  ASSERT_EQ(col.prefix_positive.size(), col.size() + 1);
   EXPECT_DOUBLE_EQ(col.prefix_weight.front(), 0.0);
   EXPECT_DOUBLE_EQ(col.prefix_weight.back(), dataset.TotalWeight(rows));
   EXPECT_DOUBLE_EQ(col.prefix_positive.back(),
                    dataset.ClassWeight(rows, kPos));
-  // Boundaries mark exactly the distinct-value steps.
-  for (size_t b : col.boundaries) {
-    ASSERT_GT(b, 0u);
-    EXPECT_LT(col.values[b - 1], col.values[b]);
+  // Each prefix sums exactly the rows below its group's value.
+  for (size_t g = 0; g < col.size(); ++g) {
+    RowSubset below;
+    for (RowId r : rows) {
+      if (dataset.numeric(r, 0) < col.values[g]) below.push_back(r);
+    }
+    EXPECT_DOUBLE_EQ(col.prefix_weight[g], dataset.TotalWeight(below)) << g;
+    EXPECT_DOUBLE_EQ(col.prefix_positive[g], dataset.ClassWeight(below, kPos))
+        << g;
   }
 }
 
@@ -126,6 +138,78 @@ TEST(SortedColumnCacheTest, TargetChangeRebuildsPositivePrefix) {
                    dataset.ClassWeight(rows, 0));
 }
 
+// A label change is a data change: the engine's cached full-row column
+// must not keep the old positive sums.
+TEST(SortedColumnCacheTest, LabelChangeRebuildsPositivePrefix) {
+  Schema schema;
+  schema.AddAttribute(Attribute::Numeric("x"));
+  schema.GetOrAddClass("neg");
+  schema.GetOrAddClass("pos");
+  Dataset dataset(std::move(schema));
+  for (int i = 0; i < 20; ++i) {
+    const RowId r = dataset.AddRow();
+    dataset.set_numeric(r, 0, i);
+    dataset.set_label(r, i < 10 ? kPos : 0);
+  }
+  const auto scorer = [](const RuleStats& stats) {
+    return stats.positive - stats.negative();
+  };
+  const RowSubset rows = dataset.AllRows();
+  ConditionSearchEngine engine(dataset);
+  const auto before = engine.FindBest(rows, kPos, scorer);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->condition, Condition::LessEqual(0, 9.5));
+  EXPECT_EQ(before->value, 10.0);
+
+  for (RowId r : rows) {
+    dataset.set_label(r, dataset.label(r) == kPos ? 0 : kPos);
+  }
+  const auto after = engine.FindBest(rows, kPos, scorer);
+  ConditionSearchEngine fresh(dataset);
+  const auto expected = fresh.FindBest(rows, kPos, scorer);
+  ASSERT_TRUE(after.has_value() && expected.has_value());
+  EXPECT_EQ(expected->condition, Condition::Greater(0, 9.5));
+  EXPECT_EQ(after->condition, expected->condition);
+  EXPECT_EQ(after->value, expected->value);
+  EXPECT_EQ(after->stats.positive, expected->stats.positive);
+}
+
+// Brute-force column of `attr` over `rows`: sorts the non-NaN entries by
+// (value, row id), accumulates one running sum per entry, and collapses
+// the entries into groups of equal value, keeping each group's first and
+// last member value and the sums at each group's start.
+SortedColumn ReferenceColumn(const Dataset& dataset, AttrIndex attr,
+                             const RowSubset& rows) {
+  std::vector<std::pair<double, RowId>> entries;
+  for (RowId r : rows) {
+    const double v = dataset.numeric(r, attr);
+    if (!std::isnan(v)) entries.push_back({v, r});
+  }
+  std::sort(entries.begin(), entries.end());
+  SortedColumn col;
+  col.prefix_weight.push_back(0.0);
+  col.prefix_positive.push_back(0.0);
+  double w = 0.0, p = 0.0;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const RowId row = entries[i].second;
+    w += dataset.weight(row);
+    p += dataset.label(row) == kPos ? dataset.weight(row) : 0.0;
+    if (i == 0 || entries[i - 1].first < entries[i].first) {
+      col.values.push_back(entries[i].first);
+      col.last_values.push_back(entries[i].first);
+    } else {
+      col.last_values.back() = entries[i].first;
+    }
+    if (i + 1 == entries.size() || entries[i].first < entries[i + 1].first) {
+      col.prefix_weight.push_back(w);
+      col.prefix_positive.push_back(p);
+    }
+  }
+  col.total_weight = w;
+  col.total_positive = p;
+  return col;
+}
+
 TEST(SortedColumnCacheTest, SubsetColumnsAreBitIdenticalToFullBuild) {
   // The cache picks between a direct sort (small subsets) and filtering the
   // cached full order (large subsets). Both must produce byte-identical
@@ -148,23 +232,16 @@ TEST(SortedColumnCacheTest, SubsetColumnsAreBitIdenticalToFullBuild) {
   }
   for (const RowSubset& rows : {small, large}) {
     const SortedColumn via_cache = column_for(rows);
-    // Reference: brute-force (value, row id) sort of the subset.
-    std::vector<std::pair<double, RowId>> entries;
-    for (RowId r : rows) entries.push_back({dataset.numeric(r, 0), r});
-    std::sort(entries.begin(), entries.end());
-    ASSERT_EQ(via_cache.values.size(), entries.size());
-    double w = 0.0, p = 0.0;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      EXPECT_EQ(via_cache.values[i], entries[i].first);
-      w += dataset.weight(entries[i].second);
-      if (dataset.label(entries[i].second) == kPos) {
-        p += dataset.weight(entries[i].second);
-      }
-      // Bitwise: the accumulation order is pinned by the (value, row id)
-      // total order, so the sums are exactly reproducible.
-      EXPECT_EQ(via_cache.prefix_weight[i + 1], w);
-      EXPECT_EQ(via_cache.prefix_positive[i + 1], p);
-    }
+    const SortedColumn expected = ReferenceColumn(dataset, 0, rows);
+    ASSERT_EQ(via_cache.size(), expected.size());
+    EXPECT_EQ(via_cache.values, expected.values);
+    EXPECT_EQ(via_cache.last_values, expected.last_values);
+    // Bitwise: the accumulation order is pinned by the (value, row id)
+    // total order, so the sums are exactly reproducible.
+    EXPECT_EQ(via_cache.prefix_weight, expected.prefix_weight);
+    EXPECT_EQ(via_cache.prefix_positive, expected.prefix_positive);
+    EXPECT_EQ(via_cache.total_weight, expected.total_weight);
+    EXPECT_EQ(via_cache.total_positive, expected.total_positive);
   }
 }
 
@@ -214,7 +291,8 @@ TEST(SortedColumnCacheTest, NanCellsSortLastAndStayOutOfColumns) {
     for (RowId r : rows) {
       if (!std::isnan(dataset.numeric(r, 1))) valued.push_back(r);
     }
-    ASSERT_EQ(col.values.size(), valued.size()) << rows.size() << " rows";
+    ASSERT_EQ(col.size(), ReferenceColumn(dataset, 1, rows).size())
+        << rows.size() << " rows";
     for (double v : col.values) EXPECT_FALSE(std::isnan(v));
     EXPECT_EQ(col.total_weight, static_cast<double>(valued.size()));
     EXPECT_DOUBLE_EQ(col.total_positive, dataset.ClassWeight(valued, kPos));
@@ -253,7 +331,9 @@ TEST(SortedColumnCacheTest, CodeCopiesCountInTheBudgetAndAreEvicted) {
   cache.SortedOrder(0);
   EXPECT_EQ(cache.evict_count(), 1u) << "the code copy made room";
   EXPECT_EQ(cache.resident_bytes(),
-            300 * (sizeof(RowId) + sizeof(double) + sizeof(uint32_t)));
+            300 * (sizeof(RowId) + sizeof(double) + sizeof(uint32_t)) +
+                (cache.DistinctValues(0) + 1) * sizeof(uint32_t))
+      << "order, values and ranks per row; a start per group";
 
   EXPECT_EQ(cache.Codes(2), dataset.categorical_column(2)) << "rebuilt";
   EXPECT_EQ(cache.evict_count(), 2u);
@@ -294,6 +374,67 @@ TEST(SortedColumnCacheTest, SearchAndCoverageAreBitIdenticalAtAnyBudget) {
     }
     EXPECT_EQ(engine.PossibleConditions(), reference.PossibleConditions());
   }
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// -0.0 and +0.0 are one value but differ in bits, so the zero group's first
+// and last members decide the bits of the cuts on either side of it, and
+// the two members change with the subset. Every build path must cut with
+// exactly the values a column of one entry per row would have used.
+TEST(SortedColumnCacheTest, SignedZeroCutsMatchThePerRowColumnBitForBit) {
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> palette = {-0.0, 0.0, -0.0, 0.0, denorm,
+                                       -denorm, 5.0, -5.0, 0.0, -0.0};
+  Schema schema;
+  schema.AddAttribute(Attribute::Numeric("x"));
+  schema.GetOrAddClass("neg");
+  schema.GetOrAddClass("pos");
+  Dataset dataset(std::move(schema));
+  Rng rng(11);
+  for (size_t i = 0; i < 2000; ++i) {
+    const RowId r = dataset.AddRow();
+    dataset.set_numeric(r, 0, palette[rng.NextBelow(palette.size())]);
+    dataset.set_label(r, rng.NextBool(0.3) ? kPos : 0);
+  }
+  SortedColumnCache cache(dataset);
+  std::vector<RowSubset> subsets = {dataset.AllRows()};
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    Rng pick(100 + seed);
+    // Alternately 30 rows (rank sort) and about 1500 rows (group filter).
+    const double keep = seed % 2 == 0 ? 30.0 / 2000 : 0.75;
+    RowSubset rows;
+    for (RowId r = 0; r < dataset.num_rows(); ++r) {
+      if (pick.NextBool(keep)) rows.push_back(r);
+    }
+    subsets.push_back(rows);
+  }
+  size_t mixed_cuts = 0;
+  for (const RowSubset& rows : subsets) {
+    std::vector<uint8_t> mask(dataset.num_rows(), 0);
+    for (RowId r : rows) mask[r] = 1;
+    SortedColumn scratch;
+    const SortedColumn& col = cache.Column(0, kPos, rows, mask, &scratch);
+    const SortedColumn expected = ReferenceColumn(dataset, 0, rows);
+    ASSERT_EQ(col.size(), expected.size()) << rows.size() << " rows";
+    for (size_t g = 0; g < col.size(); ++g) {
+      EXPECT_EQ(Bits(col.values[g]), Bits(expected.values[g])) << g;
+      EXPECT_EQ(Bits(col.last_values[g]), Bits(expected.last_values[g])) << g;
+      if (Bits(expected.values[g]) != Bits(expected.last_values[g])) {
+        ++mixed_cuts;
+      }
+    }
+    EXPECT_EQ(col.prefix_weight, expected.prefix_weight);
+    EXPECT_EQ(col.prefix_positive, expected.prefix_positive);
+    for (size_t cut = 1; cut < col.size(); ++cut) {
+      EXPECT_EQ(Bits(col.CutValue(cut)), Bits(expected.CutValue(cut)))
+          << rows.size() << " rows, cut " << cut;
+      EXPECT_EQ(Bits(col.LowerCutValue(cut)),
+                Bits(expected.LowerCutValue(cut)))
+          << rows.size() << " rows, cut " << cut;
+    }
+  }
+  EXPECT_GT(mixed_cuts, 0u) << "no subset mixed the two zeros";
 }
 
 }  // namespace

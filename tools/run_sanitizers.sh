@@ -29,16 +29,11 @@ for san in "${sanitizers[@]}"; do
   echo "=== $san sanitizer ($build_dir) ==="
   cmake -B "$build_dir" -S . -DPNR_SANITIZE="$san" \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build "$build_dir" -j"$(nproc)" --target \
-        thread_pool_test sorted_column_cache_test \
-        condition_search_oracle_test parallel_determinism_test \
-        batch_score_test ingest_test serve_test \
-        serve_binary_test serve_metrics_test \
-        fault_injection_test serve_fault_test fuzz_replay \
-        stratified_cv_test tune_test pnr_cli \
-        shard_store_test train_sharded_test
   if [ ${#label_args[@]} -eq 0 ]; then
     cmake --build "$build_dir" -j"$(nproc)"
+  else
+    # Every binary a `sanitize`-labelled test runs (pnr_sanitize_test).
+    cmake --build "$build_dir" -j"$(nproc)" --target sanitize_targets
   fi
   (cd "$build_dir" && ctest "${label_args[@]}" --output-on-failure)
 done
