@@ -12,6 +12,7 @@
 #include "common/bitmask.h"
 #include "common/math_util.h"
 #include "common/string_util.h"
+#include "data/weight_counter.h"
 #include "induction/mdl.h"
 
 namespace pnr {
@@ -191,39 +192,6 @@ std::vector<C45RulesClassifier::ClassRule> ExtractTreeRules(
 namespace {
 
 using ClassRule = C45RulesClassifier::ClassRule;
-
-// Coverage counting that is popcount-fast for unit weights and falls back
-// to set-bit iteration otherwise.
-struct WeightCounter {
-  const Dataset* dataset = nullptr;
-  const RowSubset* rows = nullptr;  // mask bit i corresponds to (*rows)[i]
-  bool unit_weights = true;
-
-  double Weight(const BitMask& mask) const {
-    if (unit_weights) return static_cast<double>(mask.Count());
-    double total = 0.0;
-    mask.ForEachSet([&](size_t i) { total += dataset->weight((*rows)[i]); });
-    return total;
-  }
-
-  double WeightAnd(const BitMask& mask, const BitMask& other) const {
-    if (unit_weights) return static_cast<double>(mask.CountAnd(other));
-    double total = 0.0;
-    mask.ForEachSet([&](size_t i) {
-      if (other.Get(i)) total += dataset->weight((*rows)[i]);
-    });
-    return total;
-  }
-
-  double WeightAndNot(const BitMask& mask, const BitMask& other) const {
-    if (unit_weights) return static_cast<double>(mask.CountAndNot(other));
-    double total = 0.0;
-    mask.ForEachSet([&](size_t i) {
-      if (!other.Get(i)) total += dataset->weight((*rows)[i]);
-    });
-    return total;
-  }
-};
 
 // Pessimistic error rate of a rule covering `cov` weight with `err` of it
 // wrong. Empty coverage is maximally pessimistic.
@@ -468,16 +436,7 @@ StatusOr<C45RulesClassifier> C45RulesLearner::TrainOnRows(
     return mask;
   };
 
-  WeightCounter counter;
-  counter.dataset = &dataset;
-  counter.rows = &rows;
-  counter.unit_weights = true;
-  for (RowId row : rows) {
-    if (dataset.weight(row) != 1.0) {
-      counter.unit_weights = false;
-      break;
-    }
-  }
+  const WeightCounter counter(dataset, rows);
 
   const size_t num_classes = dataset.schema().num_classes();
   std::vector<BitMask> class_masks(num_classes, BitMask(rows.size()));

@@ -122,32 +122,20 @@ double CoverageDescriptionLength(const Dataset& dataset, const RowSubset& rows,
   return theory + ExceptionBits(expected_fp_ratio, cover, uncover, fp, fn);
 }
 
-double RuleSetDescriptionLength(const Dataset& dataset, const RowSubset& rows,
-                                CategoryId target, const RuleSet& rules,
-                                double possible_conditions,
-                                double expected_fp_ratio,
-                                bool invert_target) {
-  // On a demand-paged dataset a per-row AnyMatch walk alternates columns
-  // every row, and each alternation on a tight budget is a whole-column
-  // decode. Subtract the rules' coverage rule-major instead (each rule's
-  // UncoveredRows is condition-major when paged, so it faults each
-  // referenced column once); the uncovered rows come out the same either
-  // way, and so does the row-order accumulation over them.
-  RowSubset uncovered;
-  if (dataset.paged()) {
-    uncovered = rows;
-    for (const Rule& rule : rules.rules()) {
-      if (uncovered.empty()) break;
-      uncovered = rule.UncoveredRows(dataset, uncovered);
-    }
-  } else {
-    for (RowId row : rows) {
-      if (!rules.AnyMatch(dataset, row)) uncovered.push_back(row);
-    }
+double MaskDescriptionLength(const WeightCounter& counter,
+                             const BitMask& positive, const BitMask& uncovered,
+                             const std::vector<size_t>& rule_sizes,
+                             double possible_conditions) {
+  double theory = 0.0;
+  for (size_t size : rule_sizes) {
+    theory += RuleTheoryBits(size, possible_conditions);
   }
-  return CoverageDescriptionLength(dataset, rows, uncovered, target, rules,
-                                   possible_conditions, expected_fp_ratio,
-                                   invert_target);
+  BitMask covered(uncovered.size(), true);
+  covered.AndNot(uncovered);
+  return theory + ExceptionBits(0.5, counter.Weight(covered),
+                                counter.Weight(uncovered),
+                                counter.WeightAndNot(covered, positive),
+                                counter.WeightAnd(uncovered, positive));
 }
 
 }  // namespace pnr

@@ -12,15 +12,14 @@
 #define PNR_INDUCTION_MDL_H_
 
 #include <functional>
+#include <vector>
 
+#include "common/bitmask.h"
 #include "data/dataset.h"
+#include "data/weight_counter.h"
 #include "rules/rule_set.h"
 
 namespace pnr {
-
-/// RIPPER's stopping window: a rule set whose DL exceeds the minimum DL
-/// observed so far by more than this many bits stops rule addition.
-inline constexpr double kMdlStopWindowBits = 64.0;
 
 /// Number of "possible conditions" in the dataset: categorical attributes
 /// contribute one candidate per category, numeric attributes contribute two
@@ -61,28 +60,30 @@ double ExceptionBitsEmpirical(double cover, double uncover, double fp,
 
 /// Total description length in bits of `rules` as a model of `target` over
 /// `rows`: theory bits of every rule + exception bits of the rule set's
-/// aggregate coverage. With `invert_target` the positive class is "not
-/// target" (PNrule's N-phase models the *absence* of the target class).
-/// Passing a negative `expected_fp_ratio` selects the symmetric
-/// (empirical-rate) exception coding.
-double RuleSetDescriptionLength(const Dataset& dataset, const RowSubset& rows,
-                                CategoryId target, const RuleSet& rules,
-                                double possible_conditions,
-                                double expected_fp_ratio = 0.5,
-                                bool invert_target = false);
-
-/// RuleSetDescriptionLength from coverage the caller already holds:
-/// `uncovered` must be exactly the rows of `rows` that no rule of `rules`
-/// covers, in the order they appear in `rows`. Reads only weights and
-/// labels — never a feature column — and returns the same bits as
-/// RuleSetDescriptionLength. PNrule's N-phase keeps that list anyway (the
-/// rows left for the next N-rule), so its MDL stop costs no column pass.
+/// aggregate coverage, given as `uncovered`, exactly the rows of `rows` that
+/// no rule covers, in `rows` order. With `invert_target` the positive class
+/// is "not target" (PNrule's N-phase models the *absence* of the target
+/// class). A negative `expected_fp_ratio` selects the symmetric
+/// (empirical-rate) exception coding. Reads only weights and labels, never a
+/// feature column: the N-phase keeps that list anyway (the rows left for the
+/// next N-rule), so its MDL stop costs no column pass.
 double CoverageDescriptionLength(const Dataset& dataset, const RowSubset& rows,
                                  const RowSubset& uncovered, CategoryId target,
                                  const RuleSet& rules,
                                  double possible_conditions,
                                  double expected_fp_ratio = 0.5,
                                  bool invert_target = false);
+
+/// RIPPER's description length (Cohen's coding, expected_fp_ratio 0.5) from
+/// masks over the rows `counter` reads: bit i of `uncovered` is set iff no
+/// rule covers (*counter.rows)[i], of `positive` iff that row is of the
+/// modelled class; `rule_sizes` are the rules' condition counts in list
+/// order. Each weight sum runs in the row list's order, so the bits equal
+/// CoverageDescriptionLength's for the same rules and coverage.
+double MaskDescriptionLength(const WeightCounter& counter,
+                             const BitMask& positive, const BitMask& uncovered,
+                             const std::vector<size_t>& rule_sizes,
+                             double possible_conditions);
 
 }  // namespace pnr
 

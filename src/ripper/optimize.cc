@@ -1,37 +1,177 @@
 #include "ripper/optimize.h"
 
 #include <algorithm>
-#include <cassert>
+#include <utility>
 
 #include "data/weighting.h"
 #include "induction/mdl.h"
-#include "ripper/grow_prune.h"
+#include "induction/metric.h"
+#include "rules/compiled_rule_set.h"
 
 namespace pnr {
 namespace {
 
-double RuleSetDl(const Dataset& dataset, const RowSubset& rows,
-                 CategoryId target, const RuleSet& rules,
-                 double possible_conditions) {
-  return RuleSetDescriptionLength(dataset, rows, target, rules,
-                                  possible_conditions);
+// The coverage of every prefix of `rule` over `rows`: bit i of result[k] is
+// set iff rows[i] satisfies the first k conditions, so result.back() is the
+// rule's coverage. One CompiledRuleSet column sweep per distinct condition.
+std::vector<BitMask> PrefixCoverage(const Dataset& dataset,
+                                    const RowSubset& rows, const Rule& rule) {
+  const CompiledRuleSet program = CompiledRuleSet::Compile(RuleSet({rule}));
+  const std::vector<BitMask> masks =
+      program.ConditionMasks(dataset, rows.data(), rows.size());
+  std::vector<BitMask> prefixes;
+  prefixes.emplace_back(rows.size(), true);
+  for (const Condition& condition : rule.conditions()) {
+    prefixes.push_back(prefixes.back() &
+                       masks[static_cast<size_t>(
+                           program.ConditionIndex(condition))]);
+  }
+  return prefixes;
 }
 
 }  // namespace
 
-void CoverPositives(ConditionSearchEngine& engine, const RowSubset& all_rows,
-                    const RowSubset& remaining_in, CategoryId target,
-                    const RipperConfig& config, double possible_conditions,
-                    Rng* rng, RuleSet* rules) {
+Rule GrowRuleFoil(ConditionSearchEngine& engine, const RowSubset& grow_rows,
+                  CategoryId target, const Rule& seed) {
   const Dataset& dataset = engine.dataset();
-  RowSubset remaining = remaining_in;
-  double min_dl =
-      RuleSetDl(dataset, all_rows, target, *rules, possible_conditions);
+  Rule rule = seed;
+  RowSubset covered = grow_rows;
+  for (const Condition& condition : rule.conditions()) {
+    covered = engine.CoveredRows(condition, covered);
+  }
+  // `covered` keeps grow_rows' order, so these are the row walk's sums.
+  RuleStats parent{dataset.TotalWeight(covered),
+                   dataset.ClassWeight(covered, target)};
 
-  while (rules->size() < config.max_rules &&
-         dataset.ClassWeight(remaining, target) > 0.0) {
-    auto [grow_rows, prune_rows] = StratifiedSplitRows(
-        dataset, remaining, target, config.grow_fraction, rng);
+  ConditionSearchOptions options;
+  // RIPPER considers single-sided numeric tests only.
+  options.enable_range_conditions = false;
+  // A refinement must keep at least some positive coverage to have gain.
+  options.min_positive_weight = 1e-9;
+
+  for (;;) {
+    if (parent.covered > 0.0 && parent.negative() <= 0.0) break;  // pure
+    ConditionScorer scorer = [&parent](const RuleStats& refined) {
+      return FoilGain(parent, refined);
+    };
+    const auto candidate = engine.FindBest(covered, target, scorer, options);
+    if (!candidate.has_value() || candidate->value <= 0.0) break;
+    rule.AddCondition(candidate->condition);
+    covered = engine.CoveredRows(candidate->condition, covered);
+    parent = candidate->stats;
+    rule.train_stats = parent;
+  }
+  return rule;
+}
+
+Rule PruneRuleIrep(const Dataset& dataset, const RowSubset& prune_rows,
+                   CategoryId target, const Rule& rule) {
+  // Evaluate every prefix (deleting a final sequence of conditions).
+  // v(R) = (p - n) / (p + n) over the prune set; for the prefix of length 0
+  // the rule covers everything.
+  const WeightCounter counter(dataset, prune_rows);
+  const BitMask positive = ClassMask(dataset, prune_rows, target);
+  const std::vector<BitMask> prefixes =
+      PrefixCoverage(dataset, prune_rows, rule);
+  double best_value = -2.0;
+  size_t best_length = rule.size();
+  RuleStats best_stats;
+  for (size_t len = 0; len <= rule.size(); ++len) {
+    const RuleStats stats{counter.Weight(prefixes[len]),
+                          counter.WeightAnd(prefixes[len], positive)};
+    if (stats.covered <= 0.0) continue;
+    const double value =
+        (stats.positive - stats.negative()) / stats.covered;
+    // Strictly-greater keeps the shortest rule among ties, maximizing
+    // generalization (Cohen prefers the more general rule on ties).
+    if (value > best_value) {
+      best_value = value;
+      best_length = len;
+      best_stats = stats;
+    }
+  }
+  Rule pruned = rule;
+  pruned.TruncateTo(best_length);
+  pruned.train_stats = best_stats;
+  return pruned;
+}
+
+CoveredRuleSet::CoveredRuleSet(const Dataset& dataset, const RowSubset& rows,
+                               CategoryId target, double possible_conditions)
+    : counter_(dataset, rows),
+      target_(target),
+      possible_conditions_(possible_conditions),
+      positive_(ClassMask(dataset, rows, target)) {}
+
+BitMask CoveredRuleSet::MaskOf(const Rule& rule) const {
+  return std::move(
+      PrefixCoverage(*counter_.dataset, *counter_.rows, rule).back());
+}
+
+void CoveredRuleSet::Add(Rule rule, BitMask mask) {
+  rules_.AddRule(std::move(rule));
+  masks_.push_back(std::move(mask));
+}
+
+void CoveredRuleSet::Swap(size_t index, Rule* rule, BitMask* mask) {
+  std::swap(rules_.mutable_rule(index), *rule);
+  std::swap(masks_[index], *mask);
+}
+
+void CoveredRuleSet::Remove(size_t index) {
+  rules_.RemoveRule(index);
+  masks_.erase(masks_.begin() + static_cast<std::ptrdiff_t>(index));
+}
+
+BitMask CoveredRuleSet::Uncovered(size_t skip) const {
+  BitMask uncovered(counter_.rows->size(), true);
+  for (size_t i = 0; i < masks_.size(); ++i) {
+    if (i != skip) uncovered.AndNot(masks_[i]);
+  }
+  return uncovered;
+}
+
+RuleStats CoveredRuleSet::Stats(const BitMask& mask) const {
+  return {counter_.Weight(mask), counter_.WeightAnd(mask, positive_)};
+}
+
+RowSubset CoveredRuleSet::RowsOf(const BitMask& mask) const {
+  RowSubset out;
+  mask.ForEachSet([&](size_t i) { out.push_back((*counter_.rows)[i]); });
+  return out;
+}
+
+double CoveredRuleSet::DescriptionLength(size_t skip) const {
+  std::vector<size_t> sizes;
+  for (size_t i = 0; i < rules_.size(); ++i) {
+    if (i != skip) sizes.push_back(rules_.rule(i).size());
+  }
+  return MaskDescriptionLength(counter_, positive_, Uncovered(skip), sizes,
+                               possible_conditions_);
+}
+
+RuleSet CoveredRuleSet::DecisionList() const {
+  RuleSet list = rules_;
+  BitMask unclaimed(counter_.rows->size(), true);
+  for (size_t i = 0; i < masks_.size(); ++i) {
+    list.mutable_rule(i).train_stats = Stats(unclaimed & masks_[i]);
+    unclaimed.AndNot(masks_[i]);
+  }
+  return list;
+}
+
+void CoverPositives(ConditionSearchEngine& engine, BitMask remaining,
+                    const RipperConfig& config, Rng* rng,
+                    CoveredRuleSet* rules) {
+  const Dataset& dataset = engine.dataset();
+  const CategoryId target = rules->target();
+  double min_dl = rules->DescriptionLength();
+
+  while (rules->rules().size() < config.max_rules &&
+         rules->Stats(remaining).positive > 0.0) {
+    auto [grow_rows, prune_rows] =
+        StratifiedSplitRows(dataset, rules->RowsOf(remaining), target,
+                            config.grow_fraction, rng);
     Rule rule = GrowRuleFoil(engine, grow_rows, target, Rule());
     rule = PruneRuleIrep(dataset, prune_rows, target, rule);
     if (rule.empty()) break;
@@ -45,111 +185,74 @@ void CoverPositives(ConditionSearchEngine& engine, const RowSubset& all_rows,
       break;
     }
 
-    const RuleStats remaining_stats =
-        rule.Evaluate(dataset, remaining, target);
-    if (remaining_stats.positive <= 0.0) break;
-    rule.train_stats = remaining_stats;
+    BitMask mask = rules->MaskOf(rule);
+    rule.train_stats = rules->Stats(remaining & mask);
+    if (rule.train_stats.positive <= 0.0) break;
 
-    rules->AddRule(rule);
-    const double dl =
-        RuleSetDl(dataset, all_rows, target, *rules, possible_conditions);
+    remaining.AndNot(mask);
+    rules->Add(std::move(rule), std::move(mask));
+    const double dl = rules->DescriptionLength();
     if (dl > min_dl + config.mdl_window_bits) {
-      rules->RemoveRule(rules->size() - 1);
+      rules->Remove(rules->rules().size() - 1);
       break;
     }
     min_dl = std::min(min_dl, dl);
-    remaining = rule.UncoveredRows(dataset, remaining);
   }
 }
 
-void DeleteHarmfulRules(const Dataset& dataset, const RowSubset& rows,
-                        CategoryId target, double possible_conditions,
-                        RuleSet* rules) {
-  double current_dl =
-      RuleSetDl(dataset, rows, target, *rules, possible_conditions);
-  for (size_t i = rules->size(); i-- > 0;) {
-    RuleSet without = *rules;
-    without.RemoveRule(i);
-    const double dl =
-        RuleSetDl(dataset, rows, target, without, possible_conditions);
+void DeleteHarmfulRules(CoveredRuleSet* rules) {
+  double current_dl = rules->DescriptionLength();
+  for (size_t i = rules->rules().size(); i-- > 0;) {
+    const double dl = rules->DescriptionLength(/*skip=*/i);
     if (dl < current_dl) {
-      *rules = std::move(without);
+      rules->Remove(i);
       current_dl = dl;
     }
   }
 }
 
-void OptimizeRuleSet(ConditionSearchEngine& engine, const RowSubset& rows,
-                     CategoryId target, const RipperConfig& config,
-                     double possible_conditions, Rng* rng, RuleSet* rules) {
+void OptimizeRuleSet(ConditionSearchEngine& engine, const RipperConfig& config,
+                     Rng* rng, CoveredRuleSet* rules) {
   const Dataset& dataset = engine.dataset();
-  for (size_t i = 0; i < rules->size(); ++i) {
+  const CategoryId target = rules->target();
+  for (size_t i = 0; i < rules->rules().size(); ++i) {
     // The rule's niche: records no *other* rule covers. The replacement and
     // revision are grown/pruned on this context so they compete for the
     // same part of the space.
-    RuleSet others = *rules;
-    others.RemoveRule(i);
-    RowSubset context;
-    context.reserve(rows.size());
-    for (RowId row : rows) {
-      if (!others.AnyMatch(dataset, row)) context.push_back(row);
-    }
-    if (dataset.ClassWeight(context, target) <= 0.0) continue;
+    const BitMask context = rules->Uncovered(i);
+    if (rules->Stats(context).positive <= 0.0) continue;
 
-    auto [grow_rows, prune_rows] = StratifiedSplitRows(
-        dataset, context, target, config.grow_fraction, rng);
+    auto [grow_rows, prune_rows] =
+        StratifiedSplitRows(dataset, rules->RowsOf(context), target,
+                            config.grow_fraction, rng);
 
     Rule replacement = GrowRuleFoil(engine, grow_rows, target, Rule());
     replacement = PruneRuleIrep(dataset, prune_rows, target, replacement);
 
-    Rule revision = GrowRuleFoil(engine, grow_rows, target, rules->rule(i));
+    Rule revision =
+        GrowRuleFoil(engine, grow_rows, target, rules->rules().rule(i));
     revision = PruneRuleIrep(dataset, prune_rows, target, revision);
 
     // Choose among {original, replacement, revision} by the DL of the whole
-    // rule set with the variant substituted.
-    const Rule original = rules->rule(i);
-    double best_dl =
-        RuleSetDl(dataset, rows, target, *rules, possible_conditions);
-    Rule best = original;
-    for (const Rule* variant : {&replacement, &revision}) {
+    // rule set with the variant swapped in; one that does not lower it is
+    // swapped back out.
+    double best_dl = rules->DescriptionLength();
+    for (Rule* variant : {&replacement, &revision}) {
       if (variant->empty()) continue;
-      RuleSet trial = *rules;
-      trial.mutable_rule(i) = *variant;
-      const double dl =
-          RuleSetDl(dataset, rows, target, trial, possible_conditions);
+      BitMask mask = rules->MaskOf(*variant);
+      rules->Swap(i, variant, &mask);
+      const double dl = rules->DescriptionLength();
       if (dl < best_dl) {
         best_dl = dl;
-        best = *variant;
+      } else {
+        rules->Swap(i, variant, &mask);
       }
     }
-    rules->mutable_rule(i) = std::move(best);
   }
 
   // Cover any positives the optimized rules no longer reach.
-  RowSubset uncovered;
-  for (RowId row : rows) {
-    if (!rules->AnyMatch(dataset, row)) uncovered.push_back(row);
-  }
-  CoverPositives(engine, rows, uncovered, target, config,
-                 possible_conditions, rng, rules);
-  DeleteHarmfulRules(dataset, rows, target, possible_conditions, rules);
-}
-
-void CoverPositives(const Dataset& dataset, const RowSubset& all_rows,
-                    const RowSubset& remaining, CategoryId target,
-                    const RipperConfig& config, double possible_conditions,
-                    Rng* rng, RuleSet* rules) {
-  ConditionSearchEngine engine(dataset, config.num_threads);
-  CoverPositives(engine, all_rows, remaining, target, config,
-                 possible_conditions, rng, rules);
-}
-
-void OptimizeRuleSet(const Dataset& dataset, const RowSubset& rows,
-                     CategoryId target, const RipperConfig& config,
-                     double possible_conditions, Rng* rng, RuleSet* rules) {
-  ConditionSearchEngine engine(dataset, config.num_threads);
-  OptimizeRuleSet(engine, rows, target, config, possible_conditions, rng,
-                  rules);
+  CoverPositives(engine, rules->Uncovered(), config, rng, rules);
+  DeleteHarmfulRules(rules);
 }
 
 }  // namespace pnr

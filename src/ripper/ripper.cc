@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
-#include "induction/mdl.h"
 #include "ripper/optimize.h"
 
 namespace pnr {
@@ -89,32 +88,13 @@ StatusOr<RipperClassifier> RipperLearner::TrainOnRows(
   // One engine for the whole run: column sorts are cached across every
   // grow/prune split and optimization pass.
   ConditionSearchEngine engine(dataset, config_.num_threads);
-  const double possible_conditions = engine.PossibleConditions();
-  RuleSet rules;
-  CoverPositives(engine, rows, rows, target, config_, possible_conditions,
-                 &rng, &rules);
+  CoveredRuleSet rules(dataset, rows, target, engine.PossibleConditions());
+  CoverPositives(engine, BitMask(rows.size(), true), config_, &rng, &rules);
   for (size_t pass = 0; pass < config_.optimization_passes; ++pass) {
-    OptimizeRuleSet(engine, rows, target, config_, possible_conditions, &rng,
-                    &rules);
+    OptimizeRuleSet(engine, config_, &rng, &rules);
   }
-  DeleteHarmfulRules(dataset, rows, target, possible_conditions, &rules);
-
-  // Final per-rule stats under decision-list semantics: each training record
-  // is attributed to the first rule matching it, which is what the
-  // classifier's Laplace score uses.
-  for (Rule& rule : rules.mutable_rules()) {
-    rule.train_stats = RuleStats{};
-  }
-  for (RowId row : rows) {
-    const int match = rules.FirstMatch(dataset, row);
-    if (match == kNoRule) continue;
-    RuleStats& stats = rules.mutable_rule(static_cast<size_t>(match))
-                           .train_stats;
-    const double w = dataset.weight(row);
-    stats.covered += w;
-    if (dataset.label(row) == target) stats.positive += w;
-  }
-  return RipperClassifier(std::move(rules));
+  DeleteHarmfulRules(&rules);
+  return RipperClassifier(rules.DecisionList());
 }
 
 }  // namespace pnr

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <string>
-
 #include <vector>
 
 #include "eval/classifier.h"

@@ -47,17 +47,6 @@ class Rule {
   /// True iff every condition matches the record.
   bool Matches(const Dataset& dataset, RowId row) const;
 
-  /// Weighted coverage stats of this rule over `rows` with respect to
-  /// `target`.
-  RuleStats Evaluate(const Dataset& dataset, const RowSubset& rows,
-                     CategoryId target) const;
-
-  /// Rows from `rows` matched by this rule.
-  RowSubset CoveredRows(const Dataset& dataset, const RowSubset& rows) const;
-
-  /// Rows from `rows` NOT matched by this rule.
-  RowSubset UncoveredRows(const Dataset& dataset, const RowSubset& rows) const;
-
   /// "cond1 AND cond2 AND ..." ("TRUE" for the empty rule).
   std::string ToString(const Schema& schema) const;
 

@@ -24,15 +24,6 @@ int RuleSet::FirstMatch(const Dataset& dataset, RowId row) const {
   return kNoRule;
 }
 
-RowSubset RuleSet::CoveredRows(const Dataset& dataset,
-                               const RowSubset& rows) const {
-  RowSubset out;
-  for (RowId row : rows) {
-    if (AnyMatch(dataset, row)) out.push_back(row);
-  }
-  return out;
-}
-
 std::string RuleSet::ToString(const Schema& schema) const {
   std::string out;
   for (size_t i = 0; i < rules_.size(); ++i) {

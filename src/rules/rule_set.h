@@ -37,14 +37,6 @@ class RuleSet {
   /// Index of the first rule matching the record, or kNoRule.
   int FirstMatch(const Dataset& dataset, RowId row) const;
 
-  /// True iff any rule matches the record.
-  bool AnyMatch(const Dataset& dataset, RowId row) const {
-    return FirstMatch(dataset, row) != kNoRule;
-  }
-
-  /// Rows from `rows` matched by at least one rule.
-  RowSubset CoveredRows(const Dataset& dataset, const RowSubset& rows) const;
-
   /// Multi-line listing with per-rule training stats.
   std::string ToString(const Schema& schema) const;
 

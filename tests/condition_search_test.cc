@@ -187,9 +187,8 @@ TEST_P(SearchVsBruteForce, OneSidedSearchIsExhaustive) {
       const double cut = 0.5 * (values[i] + values[i + 1]);
       for (const Condition& cond :
            {Condition::LessEqual(attr, cut), Condition::Greater(attr, cut)}) {
-        Rule rule({cond});
-        const RuleStats stats =
-            rule.Evaluate(dataset, dataset.AllRows(), kPos);
+        const RuleStats stats = testutil::EvaluateRule(
+            Rule({cond}), dataset, dataset.AllRows(), kPos);
         if (stats.covered <= 0.0 ||
             stats.covered >= dist.total() - 1e-12) {
           continue;
@@ -263,8 +262,8 @@ TEST(ConditionSearchTest, AdjacentDoubleValuesStillPartitionExactly) {
   EXPECT_DOUBLE_EQ(best->stats.positive, 3.0);
   EXPECT_DOUBLE_EQ(best->stats.negative(), 0.0);
   // And the condition really matches what the stats claim.
-  Rule rule({best->condition});
-  const RuleStats direct = rule.Evaluate(dataset, dataset.AllRows(), kPos);
+  const RuleStats direct = testutil::EvaluateRule(
+      Rule({best->condition}), dataset, dataset.AllRows(), kPos);
   EXPECT_DOUBLE_EQ(direct.covered, best->stats.covered);
   EXPECT_DOUBLE_EQ(direct.positive, best->stats.positive);
 }
@@ -289,8 +288,8 @@ TEST(ConditionSearchTest, AdjacentDoubleRangeConditionPartitionsExactly) {
   const auto best =
       FindBestCondition(dataset, dataset.AllRows(), kPos, scorer);
   ASSERT_TRUE(best.has_value());
-  Rule rule({best->condition});
-  const RuleStats direct = rule.Evaluate(dataset, dataset.AllRows(), kPos);
+  const RuleStats direct = testutil::EvaluateRule(
+      Rule({best->condition}), dataset, dataset.AllRows(), kPos);
   EXPECT_DOUBLE_EQ(direct.covered, best->stats.covered);
   EXPECT_DOUBLE_EQ(direct.positive, best->stats.positive);
   EXPECT_DOUBLE_EQ(best->stats.positive, 4.0);
@@ -329,7 +328,7 @@ TEST(ConditionSearchTest, NanCellsStayOutOfSearchStatistics) {
     const auto best = engine.FindBest(rows, kPos, PosMinusNeg);
     ASSERT_TRUE(best.has_value()) << rows.size() << " rows";
     const RuleStats matched =
-        Rule({best->condition}).Evaluate(dataset, rows, kPos);
+        testutil::EvaluateRule(Rule({best->condition}), dataset, rows, kPos);
     EXPECT_EQ(best->stats.covered, matched.covered)
         << best->condition.ToString(dataset.schema()) << " over "
         << rows.size() << " rows";

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/rng.h"
+#include "data/weight_counter.h"
 #include "induction/condition_search.h"
 
 #include "test_util.h"
@@ -16,6 +18,7 @@ namespace {
 using testutil::kPos;
 using testutil::MakeMixedDataset;
 using testutil::MixedRow;
+using testutil::RuleSetDescriptionLength;
 
 TEST(MdlTest, RuleTheoryBitsMonotoneInConditions) {
   const double n = 100.0;
@@ -168,6 +171,72 @@ TEST(MdlTest, NegativeExpectedRatioSelectsEmpiricalCoding) {
   // and the totals are close.
   EXPECT_GT(asym, 0.0);
   EXPECT_GT(sym, 0.0);
+}
+
+// RIPPER's mask form against the row-at-a-time oracle, bit for bit: random
+// rule sets over numeric (NaN included) and categorical (missing included)
+// cells, random shuffled row subsets, unit and fractional weights.
+TEST(MdlTest, MaskDescriptionLengthEqualsRowWalk) {
+  Rng rng(4242);
+  size_t checks = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<MixedRow> rows;
+    const int n = 1 + static_cast<int>(rng.NextBelow(300));
+    for (int i = 0; i < n; ++i) {
+      const double x = rng.NextBool(0.1)
+                           ? std::numeric_limits<double>::quiet_NaN()
+                           : rng.NextDouble(0.0, 10.0);
+      rows.push_back({x, static_cast<CategoryId>(rng.NextBelow(3)),
+                      rng.NextBool(0.3)});
+    }
+    Dataset dataset = MakeMixedDataset(rows);
+    for (RowId row = 0; row < dataset.num_rows(); ++row) {
+      if (rng.NextBool(0.1)) dataset.set_categorical(row, 1, kInvalidCategory);
+      if (trial % 2 == 1) dataset.set_weight(row, rng.NextDouble(0.01, 3.0));
+    }
+    RowSubset subset;
+    for (RowId row = 0; row < dataset.num_rows(); ++row) {
+      if (rng.NextBool(0.7)) subset.push_back(row);
+    }
+    rng.Shuffle(&subset);
+
+    RuleSet rules;
+    const size_t num_rules = rng.NextBelow(5);
+    for (size_t r = 0; r < num_rules; ++r) {
+      Rule rule;
+      const size_t num_conditions = 1 + rng.NextBelow(3);
+      for (size_t k = 0; k < num_conditions; ++k) {
+        const double v = rng.NextDouble(0.0, 10.0);
+        switch (rng.NextBelow(3)) {
+          case 0: rule.AddCondition(Condition::LessEqual(0, v)); break;
+          case 1: rule.AddCondition(Condition::Greater(0, v)); break;
+          default:
+            rule.AddCondition(Condition::CatEqual(
+                1, static_cast<CategoryId>(rng.NextBelow(3))));
+        }
+      }
+      rules.AddRule(rule);
+    }
+
+    const WeightCounter counter(dataset, subset);
+    const BitMask positive = ClassMask(dataset, subset, kPos);
+    BitMask uncovered(subset.size(), true);
+    std::vector<size_t> sizes;
+    for (const Rule& rule : rules.rules()) sizes.push_back(rule.size());
+    for (size_t i = 0; i < subset.size(); ++i) {
+      for (const Rule& rule : rules.rules()) {
+        if (rule.Matches(dataset, subset[i])) uncovered.Set(i, false);
+      }
+    }
+    const double possible = 1.0 + static_cast<double>(rng.NextBelow(40));
+    EXPECT_EQ(MaskDescriptionLength(counter, positive, uncovered, sizes,
+                                    possible),
+              RuleSetDescriptionLength(dataset, subset, kPos, rules,
+                                       possible))
+        << "trial " << trial;
+    ++checks;
+  }
+  EXPECT_EQ(checks, 200u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@ namespace {
 using testutil::kPos;
 using testutil::MakeNumericDataset;
 using testutil::PagedCopy;
+using testutil::RuleSetDescriptionLength;
 
 // x0 holds a single impure target peak around 5; x1 separates the false
 // positives: negatives inside the peak sit in a narrow x1 band around 2,
@@ -124,8 +125,10 @@ TEST(NPhaseTest, MdlStopMatchesRuleSetDescriptionLength) {
         RuleSet prefix;
         for (size_t i = 0; i <= added.size(); ++i) {
           if (i > 0) prefix.AddRule(added[i - 1]);
+          // The oracle matches row by row, so it reads the in-RAM copy of
+          // the paged view's cells.
           const double expected = RuleSetDescriptionLength(
-              *data, out.p.covered_rows, kPos, prefix, possible, -1.0,
+              in_ram, out.p.covered_rows, kPos, prefix, possible, -1.0,
               /*invert_target=*/true);
           EXPECT_EQ(out.n.description_lengths[i], expected)
               << "seed " << seed << " window " << window << " step " << i

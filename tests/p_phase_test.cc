@@ -56,8 +56,12 @@ TEST(PPhaseTest, CoveredRowsMatchRuleUnion) {
   const PPhaseResult result =
       RunPPhase(dataset, dataset.AllRows(), kPos, DefaultConfig());
   // covered_rows must be exactly the union coverage of the rules.
-  const RowSubset expected =
-      result.rules.CoveredRows(dataset, dataset.AllRows());
+  RowSubset expected;
+  for (RowId row : dataset.AllRows()) {
+    if (result.rules.FirstMatch(dataset, row) != kNoRule) {
+      expected.push_back(row);
+    }
+  }
   RowSubset actual = result.covered_rows;
   std::sort(actual.begin(), actual.end());
   EXPECT_EQ(actual, expected);

@@ -11,6 +11,7 @@ namespace {
 
 using testutil::kPos;
 using testutil::MakeNumericDataset;
+using testutil::RuleSetDescriptionLength;
 
 // Positives: x0 > 7 (quarter of the space), plus mild label noise.
 Dataset NoisyThreshold(size_t n, uint64_t seed, double noise = 0.0) {
@@ -29,14 +30,15 @@ TEST(DeleteHarmfulRulesTest, RemovesCoverNothingRules) {
   const RowSubset all = dataset.AllRows();
   const double possible = CountPossibleConditions(dataset);
 
-  RuleSet rules;
+  CoveredRuleSet rules(dataset, all, kPos, possible);
   Rule good({Condition::Greater(0, 7.0)});
-  rules.AddRule(good);
+  rules.Add(good, rules.MaskOf(good));
   // A rule that covers only negatives: pure DL harm.
-  rules.AddRule(Rule({Condition::LessEqual(0, 1.0)}));
-  DeleteHarmfulRules(dataset, all, kPos, possible, &rules);
-  ASSERT_EQ(rules.size(), 1u);
-  EXPECT_TRUE(rules.rule(0) == good);
+  Rule harmful({Condition::LessEqual(0, 1.0)});
+  rules.Add(harmful, rules.MaskOf(harmful));
+  DeleteHarmfulRules(&rules);
+  ASSERT_EQ(rules.rules().size(), 1u);
+  EXPECT_TRUE(rules.rules().rule(0) == good);
 }
 
 TEST(DeleteHarmfulRulesTest, KeepsComplementaryRules) {
@@ -50,11 +52,13 @@ TEST(DeleteHarmfulRulesTest, KeepsComplementaryRules) {
   const Dataset dataset = MakeNumericDataset(2, rows);
   const RowSubset all = dataset.AllRows();
   const double possible = CountPossibleConditions(dataset);
-  RuleSet rules;
-  rules.AddRule(Rule({Condition::LessEqual(0, 1.0)}));
-  rules.AddRule(Rule({Condition::Greater(0, 9.0)}));
-  DeleteHarmfulRules(dataset, all, kPos, possible, &rules);
-  EXPECT_EQ(rules.size(), 2u);
+  CoveredRuleSet rules(dataset, all, kPos, possible);
+  for (Rule rule : {Rule({Condition::LessEqual(0, 1.0)}),
+                    Rule({Condition::Greater(0, 9.0)})}) {
+    rules.Add(rule, rules.MaskOf(rule));
+  }
+  DeleteHarmfulRules(&rules);
+  EXPECT_EQ(rules.rules().size(), 2u);
 }
 
 TEST(CoverPositivesTest, CoversMostPositives) {
@@ -62,16 +66,18 @@ TEST(CoverPositivesTest, CoversMostPositives) {
   const RowSubset all = dataset.AllRows();
   RipperConfig config;
   Rng rng(config.seed);
-  RuleSet rules;
-  CoverPositives(dataset, all, all, kPos, config,
-                 CountPossibleConditions(dataset), &rng, &rules);
-  ASSERT_FALSE(rules.empty());
+  ConditionSearchEngine engine(dataset, /*num_threads=*/1);
+  CoveredRuleSet rules(dataset, all, kPos, CountPossibleConditions(dataset));
+  CoverPositives(engine, BitMask(all.size(), true), config, &rng, &rules);
+  ASSERT_FALSE(rules.rules().empty());
   size_t covered_positives = 0;
   size_t positives = 0;
   for (RowId row : all) {
     if (dataset.label(row) != kPos) continue;
     ++positives;
-    if (rules.AnyMatch(dataset, row)) ++covered_positives;
+    if (rules.rules().FirstMatch(dataset, row) != kNoRule) {
+      ++covered_positives;
+    }
   }
   EXPECT_GT(static_cast<double>(covered_positives) /
                 static_cast<double>(positives),
@@ -84,10 +90,10 @@ TEST(CoverPositivesTest, RespectsMaxRules) {
   RipperConfig config;
   config.max_rules = 2;
   Rng rng(config.seed);
-  RuleSet rules;
-  CoverPositives(dataset, all, all, kPos, config,
-                 CountPossibleConditions(dataset), &rng, &rules);
-  EXPECT_LE(rules.size(), 2u);
+  ConditionSearchEngine engine(dataset, /*num_threads=*/1);
+  CoveredRuleSet rules(dataset, all, kPos, CountPossibleConditions(dataset));
+  CoverPositives(engine, BitMask(all.size(), true), config, &rng, &rules);
+  EXPECT_LE(rules.rules().size(), 2u);
 }
 
 TEST(OptimizeRuleSetTest, DoesNotHurtTrainingDescriptionLength) {
@@ -96,13 +102,14 @@ TEST(OptimizeRuleSetTest, DoesNotHurtTrainingDescriptionLength) {
   RipperConfig config;
   const double possible = CountPossibleConditions(dataset);
   Rng rng(config.seed);
-  RuleSet rules;
-  CoverPositives(dataset, all, all, kPos, config, possible, &rng, &rules);
+  ConditionSearchEngine engine(dataset, /*num_threads=*/1);
+  CoveredRuleSet rules(dataset, all, kPos, possible);
+  CoverPositives(engine, BitMask(all.size(), true), config, &rng, &rules);
   const double dl_before =
-      RuleSetDescriptionLength(dataset, all, kPos, rules, possible);
-  OptimizeRuleSet(dataset, all, kPos, config, possible, &rng, &rules);
+      RuleSetDescriptionLength(dataset, all, kPos, rules.rules(), possible);
+  OptimizeRuleSet(engine, config, &rng, &rules);
   const double dl_after =
-      RuleSetDescriptionLength(dataset, all, kPos, rules, possible);
+      RuleSetDescriptionLength(dataset, all, kPos, rules.rules(), possible);
   EXPECT_LE(dl_after, dl_before + 1e-6);
 }
 
@@ -111,13 +118,13 @@ TEST(OptimizeRuleSetTest, NoopOnEmptyRuleSet) {
   const RowSubset all = dataset.AllRows();
   RipperConfig config;
   Rng rng(config.seed);
-  RuleSet rules;
+  ConditionSearchEngine engine(dataset, /*num_threads=*/1);
+  CoveredRuleSet rules(dataset, all, kPos, CountPossibleConditions(dataset));
   // No positives reachable: positives exist, so the residual-coverage step
   // may add rules — that is the documented behaviour; just assert it does
   // not crash and leaves a consistent rule set.
-  OptimizeRuleSet(dataset, all, kPos, config,
-                  CountPossibleConditions(dataset), &rng, &rules);
-  for (const Rule& rule : rules.rules()) {
+  OptimizeRuleSet(engine, config, &rng, &rules);
+  for (const Rule& rule : rules.rules().rules()) {
     EXPECT_FALSE(rule.empty());
   }
 }

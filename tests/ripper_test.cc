@@ -5,7 +5,7 @@
 #include "common/rng.h"
 #include "data/weighting.h"
 #include "eval/metrics.h"
-#include "ripper/grow_prune.h"
+#include "ripper/optimize.h"
 #include "synth/sweep.h"
 #include "test_util.h"
 
@@ -41,7 +41,8 @@ TEST(GrowRuleFoilTest, GrowsToPurityOnSeparableData) {
     rows.push_back({{a, b}, a > 5.0 && b > 5.0});
   }
   const Dataset dataset = MakeNumericDataset(2, rows);
-  const Rule rule = GrowRuleFoil(dataset, dataset.AllRows(), kPos, Rule());
+  ConditionSearchEngine engine(dataset, /*num_threads=*/1);
+  const Rule rule = GrowRuleFoil(engine, dataset.AllRows(), kPos, Rule());
   ASSERT_FALSE(rule.empty());
   EXPECT_DOUBLE_EQ(rule.train_stats.negative(), 0.0);
   EXPECT_GT(rule.train_stats.positive, 0.0);
@@ -58,7 +59,8 @@ TEST(GrowRuleFoilTest, SeededGrowthExtendsExistingRule) {
   }
   const Dataset dataset = MakeNumericDataset(2, rows);
   Rule seed({Condition::Greater(0, 5.0)});
-  const Rule rule = GrowRuleFoil(dataset, dataset.AllRows(), kPos, seed);
+  ConditionSearchEngine engine(dataset, /*num_threads=*/1);
+  const Rule rule = GrowRuleFoil(engine, dataset.AllRows(), kPos, seed);
   ASSERT_GE(rule.size(), 2u);
   EXPECT_EQ(rule.conditions()[0], seed.conditions()[0]);
   EXPECT_DOUBLE_EQ(rule.train_stats.negative(), 0.0);

@@ -43,18 +43,8 @@ TEST(RuleSetTest, NoMatchReturnsSentinel) {
   RuleSet rules;
   rules.AddRule(Rule({Condition::Greater(0, 99.0)}));
   EXPECT_EQ(rules.FirstMatch(dataset, 0), kNoRule);
-  EXPECT_FALSE(rules.AnyMatch(dataset, 0));
   RuleSet empty;
   EXPECT_EQ(empty.FirstMatch(dataset, 0), kNoRule);
-}
-
-TEST(RuleSetTest, CoveredRowsIsUnionInRowOrder) {
-  const Dataset dataset = ThreeRows();
-  RuleSet rules;
-  rules.AddRule(Rule({Condition::LessEqual(0, 1.0)}));  // row 0
-  rules.AddRule(Rule({Condition::Greater(0, 2.5)}));    // row 2
-  EXPECT_EQ(rules.CoveredRows(dataset, dataset.AllRows()),
-            (RowSubset{0, 2}));
 }
 
 TEST(RuleSetTest, RemoveRuleShiftsIndices) {

@@ -39,32 +39,9 @@ TEST(RuleTest, ConjunctionSemantics) {
   EXPECT_TRUE(rule.Matches(dataset, 3));
 }
 
-TEST(RuleTest, EvaluateComputesWeightedStats) {
-  Dataset dataset = FourRows();
-  dataset.set_weight(2, 3.0);
-  Rule rule;
-  rule.AddCondition(Condition::CatEqual(1, 1));  // rows 2 (pos, w=3), 3 (neg)
-  const RuleStats stats = rule.Evaluate(dataset, dataset.AllRows(), kPos);
-  EXPECT_DOUBLE_EQ(stats.covered, 4.0);
-  EXPECT_DOUBLE_EQ(stats.positive, 3.0);
-  EXPECT_DOUBLE_EQ(stats.negative(), 1.0);
-  EXPECT_DOUBLE_EQ(stats.accuracy(), 0.75);
-}
-
 TEST(RuleTest, EmptyStatsAccuracyIsZero) {
   const RuleStats stats;
   EXPECT_DOUBLE_EQ(stats.accuracy(), 0.0);
-}
-
-TEST(RuleTest, CoveredAndUncoveredPartitionRows) {
-  const Dataset dataset = FourRows();
-  Rule rule;
-  rule.AddCondition(Condition::Greater(0, 1.0));  // rows 1, 2
-  const RowSubset all = dataset.AllRows();
-  const RowSubset covered = rule.CoveredRows(dataset, all);
-  const RowSubset uncovered = rule.UncoveredRows(dataset, all);
-  EXPECT_EQ(covered, (RowSubset{1, 2}));
-  EXPECT_EQ(uncovered, (RowSubset{0, 3}));
 }
 
 TEST(RuleTest, RemoveAndTruncate) {

@@ -11,6 +11,8 @@
 
 #include "data/dataset.h"
 #include "data/shard_store.h"
+#include "induction/mdl.h"
+#include "rules/rule_set.h"
 
 namespace pnr {
 namespace testutil {
@@ -77,6 +79,52 @@ inline Dataset PagedCopy(const Dataset& in_ram, size_t budget_bytes) {
 
 /// The positive class id in datasets built by the helpers above.
 inline constexpr CategoryId kPos = 1;
+
+/// Weighted coverage stats of `rule` over `rows`, matched row by row and
+/// summed in `rows` order.
+inline RuleStats EvaluateRule(const Rule& rule, const Dataset& dataset,
+                              const RowSubset& rows, CategoryId target) {
+  RuleStats stats;
+  for (RowId row : rows) {
+    if (!rule.Matches(dataset, row)) continue;
+    const double w = dataset.weight(row);
+    stats.covered += w;
+    if (dataset.label(row) == target) stats.positive += w;
+  }
+  return stats;
+}
+
+/// The row-at-a-time description length of `rules` as a model of `target`
+/// over `rows` (arguments as CoverageDescriptionLength's): every row is
+/// matched against the rules and its weight added to the cover or uncover
+/// side in `rows` order. The oracle for the mask and coverage-list forms.
+inline double RuleSetDescriptionLength(const Dataset& dataset,
+                                       const RowSubset& rows,
+                                       CategoryId target, const RuleSet& rules,
+                                       double possible_conditions,
+                                       double expected_fp_ratio = 0.5,
+                                       bool invert_target = false) {
+  double theory = 0.0;
+  for (const Rule& rule : rules.rules()) {
+    theory += RuleTheoryBits(rule.size(), possible_conditions);
+  }
+  double cover = 0.0, uncover = 0.0, fp = 0.0, fn = 0.0;
+  for (RowId row : rows) {
+    const double w = dataset.weight(row);
+    const bool positive = (dataset.label(row) == target) != invert_target;
+    if (rules.FirstMatch(dataset, row) == kNoRule) {
+      uncover += w;
+      if (positive) fn += w;
+    } else {
+      cover += w;
+      if (!positive) fp += w;
+    }
+  }
+  if (expected_fp_ratio < 0.0) {
+    return theory + ExceptionBitsEmpirical(cover, uncover, fp, fn);
+  }
+  return theory + ExceptionBits(expected_fp_ratio, cover, uncover, fp, fn);
+}
 
 }  // namespace testutil
 }  // namespace pnr
