@@ -223,9 +223,7 @@ void FuzzCsv(const uint8_t* data, size_t size) {
 void FuzzArff(const uint8_t* data, size_t size) {
   if (size > kMaxInput) return;
   const std::string text(AsText(data, size));
-  ArffReadOptions serial_options;
-  serial_options.num_threads = 1;
-  auto serial = ReadArffFromString(text, serial_options);
+  auto serial = ReadArffFromString(text);
   IngestOptions ingest;
   ingest.num_threads = 3;
   ingest.chunk_bytes = 7;

@@ -53,9 +53,8 @@ void CountSupports(const VerticalIndex& index,
                    const std::vector<std::vector<int32_t>>& candidates,
                    size_t num_threads, std::vector<SupportCounts>* out) {
   out->assign(candidates.size(), SupportCounts{});
-  const size_t threads =
-      ThreadPool::ClampThreadsForRows(num_threads, candidates.size() * 64);
-  ThreadPool pool(threads > 1 ? threads : 0);
+  ThreadPool pool(
+      ThreadPool::ClampThreadsForRows(num_threads, candidates.size() * 64));
   pool.ParallelFor(candidates.size(), [&](size_t i) {
     const std::vector<int32_t>& items = candidates[i];
     thread_local BitMask scratch;
@@ -172,9 +171,7 @@ VerticalIndex VerticalIndex::Build(const Dataset& dataset,
   // items are disjoint masks, so workers never touch the same slot. Each
   // scan pins its column for the duration — the paged-dataset contract for
   // concurrent readers.
-  const size_t threads =
-      ThreadPool::ClampThreadsForRows(num_threads, rows.size());
-  ThreadPool pool(threads > 1 ? threads : 0);
+  ThreadPool pool(ThreadPool::ClampThreadsForRows(num_threads, rows.size()));
   pool.ParallelFor(schema.num_attributes(), [&](size_t a) {
     const AttrIndex attr = static_cast<AttrIndex>(a);
     if (!catalog.AttrHasItems(attr)) return;

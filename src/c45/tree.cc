@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <memory>
 
 #include "common/math_util.h"
 #include "common/string_util.h"
@@ -148,7 +147,7 @@ struct Builder {
   const C45Config& config;
   DecisionTree* tree;
   size_t num_classes;
-  ThreadPool* pool = nullptr;  ///< null when serial
+  ThreadPool& pool;
 
   std::vector<double> NodeClassWeights(const RowSubset& rows) const {
     std::vector<double> weights(num_classes, 0.0);
@@ -308,11 +307,7 @@ struct Builder {
                      : EvaluateCategorical(rows, attr, parent_entropy,
                                            node.total_weight);
     };
-    if (pool != nullptr && num_attrs > 1) {
-      pool->ParallelFor(num_attrs, evaluate);
-    } else {
-      for (size_t a = 0; a < num_attrs; ++a) evaluate(a);
-    }
+    pool.ParallelFor(num_attrs, evaluate);
     std::vector<SplitCandidate> candidates;
     for (size_t a = 0; a < num_attrs; ++a) {
       if (slots[a].valid) candidates.push_back(slots[a]);
@@ -405,13 +400,11 @@ StatusOr<DecisionTree> BuildC45Tree(const Dataset& dataset,
   // Paged datasets drop to a serial build: the per-node attribute scans
   // read columns without pinning them, which would race with fault-driven
   // eviction. Serial and parallel builds are bit-identical regardless.
-  const size_t num_threads =
-      dataset.paged() ? 1
-                      : ThreadPool::ResolveThreadCount(config.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+  ThreadPool pool(dataset.paged()
+                      ? 1
+                      : ThreadPool::ResolveThreadCount(config.num_threads));
   Builder builder{dataset, config, &tree, dataset.schema().num_classes(),
-                  pool.get()};
+                  pool};
   tree.set_root(builder.Build(rows, 0));
   if (config.prune) {
     PruneC45Tree(dataset, rows, config, &tree);

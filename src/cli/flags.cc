@@ -17,7 +17,8 @@ using enum FlagType;
 constexpr Flag kData{"data", kText, "CSV or `pnr shard` file (sniffed)"};
 constexpr Flag kTarget{"target", kText, "class value treated as positive"};
 constexpr Flag kThreads{"threads", kCount,
-                        "worker threads (0 = all cores); same output for all"};
+                        "worker threads (0 = all cores); same output for all",
+                        kMaxThreads};
 constexpr Flag kClassColumn{"class-column", kText,
                             "CSV class column (default: the last)"};
 constexpr Flag kResidentMb{"max-resident-mb", kReal,
@@ -36,7 +37,8 @@ constexpr Flag kTrainFlags[] = {
     {"multiclass", kSwitch,
      "train a one-vs-rest committee over every class (no --target)"},
     {"train-threads", kCount,
-     "committee class-loop workers; model identical for any value"},
+     "committee class-loop workers; model identical for any value",
+     kMaxThreads},
     {"max-resident-mb", kReal,
      "demand-page a shard-file input and cap the search cache (MB)"},
 };
@@ -79,7 +81,7 @@ constexpr Flag kServeFlags[] = {
     {"models", kText,
      "name=model.txt[,name2=other.txt]; a bare path is named after its file"},
     {"port", kPort, "TCP port on 127.0.0.1 (0 = any free port)"},
-    {"shards", kCount, "reactor shards (0 = one per core)"},
+    {"shards", kCount, "reactor shards (0 = one per core)", kMaxThreads},
     {"max-batch", kCount, "most rows per micro-batch"},
     {"no-batching", kSwitch, "score each request on its own"},
 };
@@ -118,8 +120,10 @@ constexpr Flag kStreamFlags[] = {
     {"window", kCount, "rows per tumbling window"},
     {"sliding", kCount, "windows in the sliding aggregate"},
     kThreshold,
-    {"threads", kCount, "scoring threads; journal identical for any value"},
-    {"train-threads", kCount, "threads a retrain may lease on top"},
+    {"threads", kCount, "scoring threads; journal identical for any value",
+     kMaxThreads},
+    {"train-threads", kCount, "threads a retrain may lease on top",
+     kMaxThreads},
     {"min-support", kReal, "retrain minimum P-rule support"},
     {"max-resident-mb", kCount, "retrain snapshot paging budget in MB"},
     {"psi-threshold", kReal, "per-feature PSI drift trigger"},
@@ -137,7 +141,7 @@ constexpr Flag kStreamFlags[] = {
     {"poll-ms", kCount, "--follow poll interval in milliseconds"},
     {"idle-exit-polls", kCount, "--follow exits after this many idle polls"},
     {"serve-port", kPort, "also serve the live model on this port"},
-    {"serve-shards", kCount, "reactor shards of that server"},
+    {"serve-shards", kCount, "reactor shards of that server", kMaxThreads},
     {"model-name", kText, "registry name of the live model (default: stream)"},
     {"generate", kSwitch,
      "write a synthetic drift scenario (train.csv, feed.csv) to --out-dir"},
@@ -246,6 +250,11 @@ StatusOr<Flags> ParseFlags(const Command& command,
           prefix + arg + " expects " +
           kTypes[static_cast<int>(flag->type)].expects + ", got '" +
           value.text + "'");
+    }
+    if (flag->type == kCount && value.count > flag->max) {
+      return Status::InvalidArgument(
+          prefix + arg + " expects a count of at most " +
+          std::to_string(flag->max) + ", got '" + value.text + "'");
     }
   }
   return flags;

@@ -33,10 +33,16 @@ enum class FlagType {
   kPort,    ///< TCP port, 0-65535
 };
 
+/// Ceiling of every flag that sizes a set of threads (--threads,
+/// --train-threads, the serve and stream shard counts): such a value goes
+/// straight to std::thread spawns, so a typo must fail at parse time.
+inline constexpr uint64_t kMaxThreads = 1024;
+
 struct Flag {
   const char* name;  ///< without the leading "--"
   FlagType type;
   const char* help;  ///< one line
+  uint64_t max = UINT64_MAX;  ///< largest value a kCount flag accepts
 };
 
 struct Command {

@@ -3,30 +3,42 @@
 #include <algorithm>
 
 namespace pnr {
+namespace {
+
+// True while this thread runs a ParallelFor loop body. Nested ParallelFors
+// run inline and nested pools spawn no workers (see thread_pool.h).
+thread_local bool t_in_loop_body = false;
+
+// Marks the current thread as inside a loop body for its lifetime,
+// restoring the previous mark even when the body throws.
+class LoopBodyScope {
+ public:
+  LoopBodyScope() : outer_(t_in_loop_body) { t_in_loop_body = true; }
+  ~LoopBodyScope() { t_in_loop_body = outer_; }
+  LoopBodyScope(const LoopBodyScope&) = delete;
+  LoopBodyScope& operator=(const LoopBodyScope&) = delete;
+
+ private:
+  const bool outer_;
+};
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads <= 1) return;
+  if (num_threads <= 1 || t_in_loop_body) return;
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
-ThreadPool::~ThreadPool() { Shutdown(); }
-
-void ThreadPool::Shutdown() {
-  std::vector<std::thread> workers;
+ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     shutdown_ = true;
-    workers.swap(threads_);  // second Shutdown finds nothing to join
   }
   work_cv_.notify_all();
-  for (std::thread& thread : workers) thread.join();
-  // A job in flight when Shutdown was called still completes: workers
-  // finish the indices they claimed before exiting, and the ParallelFor
-  // caller drains whatever remains. Later ParallelFors see an empty
-  // threads_ and run inline.
+  for (std::thread& thread : threads_) thread.join();
 }
 
 size_t ThreadPool::ResolveThreadCount(size_t requested) {
@@ -54,6 +66,7 @@ void ThreadPool::DrainJob(std::unique_lock<std::mutex>& lock) {
     lock.unlock();
     std::exception_ptr error;
     try {
+      LoopBodyScope scope;
       (*fn)(index);
     } catch (...) {
       error = std::current_exception();
@@ -79,7 +92,8 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::ParallelFor(size_t count,
                              const std::function<void(size_t)>& fn) {
   if (count == 0) return;
-  if (threads_.empty() || count == 1) {
+  if (threads_.empty() || count == 1 || t_in_loop_body) {
+    LoopBodyScope scope;
     for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }

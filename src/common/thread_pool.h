@@ -6,6 +6,14 @@
 // must be written to per-index slots; the caller then reduces them in a
 // deterministic order, which is how parallel runs stay bit-identical to
 // serial ones (see induction/condition_search.h).
+//
+// Nested fan-outs compose by one rule: while a thread runs a loop body (as
+// a worker, or as the caller draining its own job), every ParallelFor it
+// issues runs inline and every ThreadPool it constructs spawns no workers.
+// So a one-vs-rest committee or a tuning race can hand its own thread
+// count down to the learners it trains: the learners' searches run
+// serially inside each task, and live workers never exceed the outermost
+// pool's workers plus its caller.
 
 #ifndef PNR_COMMON_THREAD_POOL_H_
 #define PNR_COMMON_THREAD_POOL_H_
@@ -23,34 +31,28 @@ namespace pnr {
 /// Fixed pool of worker threads executing indexed loop bodies.
 ///
 /// Thread-safety contract: ParallelFor may not be called concurrently from
-/// two threads, and loop bodies must not call back into the same pool
-/// (no nesting). Loop bodies run concurrently and must only write state
+/// two threads outside a loop body (inside one it runs inline, see the
+/// file comment). Loop bodies run concurrently and must only write state
 /// disjoint per index.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers. 0 or 1 spawns none: every ParallelFor
-  /// runs inline on the calling thread (the degenerate serial pool).
+  /// Spawns `num_threads` workers. 0 or 1 spawns none, and so does a pool
+  /// constructed inside a loop body: every ParallelFor then runs inline on
+  /// the calling thread (the degenerate serial pool).
   explicit ThreadPool(size_t num_threads);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
+  /// Joins the workers.
   ~ThreadPool();
-
-  /// Drains the in-flight job (if any) and joins the workers. Idempotent,
-  /// and callable from a thread other than the controlling one — this is
-  /// the SIGTERM path for long-lived services, which must release pool
-  /// threads before process teardown without waiting for the destructor.
-  /// After Shutdown every ParallelFor still completes, running inline on
-  /// its calling thread (the pool degrades to the serial pool rather than
-  /// dropping work).
-  void Shutdown();
 
   /// Number of worker threads (0 for the serial pool).
   size_t num_threads() const { return threads_.size(); }
 
   /// Runs fn(0) .. fn(count - 1), distributing indices over the workers and
-  /// the calling thread; blocks until every index completed. The first
-  /// exception thrown by a body is rethrown here (remaining indices still
-  /// run).
+  /// the calling thread; blocks until every index completed. Runs inline
+  /// when the pool has no workers, when count is 1, or when the caller is
+  /// itself inside a loop body. The first exception thrown by a body is
+  /// rethrown here (remaining indices still run).
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
 
   /// Maps a user-facing thread-count knob to a concrete count: 0 means
@@ -100,19 +102,14 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
-/// Cooperative thread budget for nested fan-outs.
+/// Thread budget shared by the stream engine's scorers and its background
+/// retrain.
 ///
-/// ThreadPool forbids nesting, so engines that compose — the tuning racer
-/// fanning config×fold tasks out over one pool while each task trains a
-/// learner whose ConditionSearchEngine owns another pool — would naively
-/// multiply their thread counts (an outer width of 8 running 8-thread
-/// learners is 64 live workers on an 8-core box). A shared ThreadBudget
-/// caps the *sum* instead: the orchestrator reserves its outer workers
-/// up front with Reserve(), and each task leases the inner width it may
-/// use through Acquire(). Leases always grant at least 1 (the task's own
-/// thread, already covered by the reservation) plus whatever unreserved
-/// capacity remains, so total live workers never exceed the budget and no
-/// task can starve.
+/// The stream reserves its scoring threads up front with Reserve(), and
+/// each retrain leases the width it may use through Acquire(). Leases
+/// always grant at least 1 (the task's own thread, already covered by the
+/// reservation) plus whatever unreserved capacity remains, so total live
+/// workers never exceed the budget and no task can starve.
 ///
 /// Determinism: the granted width varies with timing, but every engine in
 /// this library produces bit-identical results at any thread count, so a
@@ -124,10 +121,10 @@ class ThreadBudget {
   /// (0 = hardware concurrency).
   explicit ThreadBudget(size_t total_threads);
 
-  /// Permanently sets aside `count` threads (an outer pool's workers plus
-  /// its participating caller). Returns the number actually reserved —
-  /// clamped to the remaining capacity, so callers can size an outer pool
-  /// as `Reserve(desired)` and never overdraw.
+  /// Permanently sets aside `count` threads (the stream's scorers).
+  /// Returns the number actually reserved — clamped to the remaining
+  /// capacity, so callers can reserve `Reserve(desired)` and never
+  /// overdraw.
   size_t Reserve(size_t count);
 
   /// A RAII lease of worker threads; releases its extras on destruction.

@@ -203,24 +203,14 @@ StatusOr<ArffLayout> ParseArffHeader(std::string_view text,
   return layout;
 }
 
-namespace {
-
-IngestOptions EngineOptions(const ArffReadOptions& options) {
-  IngestOptions ingest;
-  ingest.num_threads = options.num_threads;
-  return ingest;
-}
-
-}  // namespace
-
 StatusOr<Dataset> ReadArffFromString(const std::string& text,
                                      const ArffReadOptions& options) {
-  return IngestEngine(EngineOptions(options)).ParseArff(text, options);
+  return IngestEngine().ParseArff(text, options);
 }
 
 StatusOr<Dataset> ReadArff(const std::string& path,
                            const ArffReadOptions& options) {
-  return IngestEngine(EngineOptions(options)).LoadArff(path, options);
+  return IngestEngine().LoadArff(path, options);
 }
 
 }  // namespace pnr

@@ -10,10 +10,11 @@
 // unless `class_attribute` names another.
 //
 // The header is parsed serially; the `@data` section goes through the
-// ingest engine (data/ingest.h): `num_threads = 1` is the serial reference
-// row loop, anything else the chunk-parallel parser. ARFF dictionaries are
-// fixed by the declarations, so both paths trivially assign the same ids;
-// tests still assert bitwise-identical datasets. Parse errors report the
+// ingest engine (data/ingest.h): ReadArff and ReadArffFromString run the
+// serial reference row loop, an IngestEngine with IngestOptions::num_threads
+// the chunk-parallel parser. ARFF dictionaries are fixed by the
+// declarations, so both paths trivially assign the same ids; tests still
+// assert bitwise-identical datasets. Parse errors report the
 // line number, attribute index and offending token.
 
 #ifndef PNR_DATA_ARFF_H_
@@ -34,10 +35,6 @@ struct ArffReadOptions {
   /// Name of the attribute to use as the class; empty = the last declared
   /// nominal attribute.
   std::string class_attribute;
-  /// Worker threads for the @data parse: 1 = serial reference, 0 = all
-  /// hardware threads, n = chunk-parallel with n threads. The result is
-  /// bitwise-identical for every value.
-  size_t num_threads = 1;
 };
 
 /// Everything the @data parser needs from a parsed ARFF header: the built

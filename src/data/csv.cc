@@ -1,6 +1,5 @@
 // CSV entry points. Parsing lives in the ingest engine (data/ingest.cc):
-// these wrappers only pick the engine options from CsvReadOptions. WriteCsv
-// stays here.
+// these wrappers run its serial path. WriteCsv stays here.
 
 #include "data/csv.h"
 
@@ -10,24 +9,15 @@
 #include "data/ingest.h"
 
 namespace pnr {
-namespace {
-
-IngestOptions EngineOptions(const CsvReadOptions& options) {
-  IngestOptions ingest;
-  ingest.num_threads = options.num_threads;
-  return ingest;
-}
-
-}  // namespace
 
 StatusOr<Dataset> ReadCsvFromString(const std::string& text,
                                     const CsvReadOptions& options) {
-  return IngestEngine(EngineOptions(options)).ParseCsv(text, options);
+  return IngestEngine().ParseCsv(text, options);
 }
 
 StatusOr<Dataset> ReadCsv(const std::string& path,
                           const CsvReadOptions& options) {
-  return IngestEngine(EngineOptions(options)).LoadCsv(path, options);
+  return IngestEngine().LoadCsv(path, options);
 }
 
 Status WriteCsv(const Dataset& dataset, const std::string& path,

@@ -10,9 +10,10 @@
 // CRLF line endings are tolerated, and a missing trailing newline is fine.
 // Parse errors report the line number, column index and offending token.
 //
-// Loading goes through the ingest engine (data/ingest.h): `num_threads = 1`
-// runs the serial reference parser, anything else the memory-mapped,
-// chunk-parallel engine. The loaded Dataset is byte-identical either way.
+// ReadCsv and ReadCsvFromString run the ingest engine's serial reference
+// parser; load through IngestEngine (data/ingest.h) with
+// IngestOptions::num_threads for the memory-mapped, chunk-parallel engine.
+// The loaded Dataset is byte-identical either way.
 
 #ifndef PNR_DATA_CSV_H_
 #define PNR_DATA_CSV_H_
@@ -33,10 +34,6 @@ struct CsvReadOptions {
   bool has_header = true;
   /// Name of the class column; empty means "last column".
   std::string class_column;
-  /// Worker threads for parsing: 1 = serial reference parser, 0 = all
-  /// hardware threads, n = chunk-parallel engine with n threads. The
-  /// result is bitwise-identical for every value.
-  size_t num_threads = 1;
 };
 
 /// Reads `path` into a Dataset (memory-mapped when possible). All rows must

@@ -56,16 +56,15 @@ struct IngestOptions {
 };
 
 /// The ingestion engine. Stateless apart from its options; one engine can
-/// load any number of files. `ReadCsv` / `ReadArff` are thin wrappers that
-/// construct one from the per-format read options.
+/// load any number of files. `ReadCsv` / `ReadArff` are thin wrappers around
+/// a default (serial) engine.
 class IngestEngine {
  public:
   explicit IngestEngine(IngestOptions options = {}) : options_(options) {}
 
   const IngestOptions& options() const { return options_; }
 
-  /// Loads a CSV file (mmap + chunk-parallel parse). The `num_threads`
-  /// field of `options` is ignored; the engine's own options win.
+  /// Loads a CSV file (mmap + chunk-parallel parse).
   StatusOr<Dataset> LoadCsv(const std::string& path,
                             const CsvReadOptions& options = {}) const;
 

@@ -176,9 +176,9 @@ ConditionSearchEngine::ConditionSearchEngine(const Dataset& dataset,
     : dataset_(dataset),
       num_threads_(ThreadPool::ResolveThreadCount(num_threads)),
       cache_(dataset),
+      pool_(num_threads_),
       scratch_columns_(dataset.schema().num_attributes()) {
   cache_.set_memory_budget(cache_budget_bytes);
-  if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
 }
 
 std::optional<CandidateCondition> ConditionSearchEngine::FindBest(
@@ -248,9 +248,8 @@ void ConditionSearchEngine::ForEachAttribute(
   // serial scan at 20k rows), so clamp by the shared rows-per-thread
   // heuristic and fall back to the serial loop.
   const size_t num_attrs = dataset_.schema().num_attributes();
-  if (pool_ != nullptr && num_attrs > 1 &&
-      ThreadPool::ClampThreadsForRows(num_threads_, rows) > 1) {
-    pool_->ParallelFor(num_attrs, body);
+  if (ThreadPool::ClampThreadsForRows(num_threads_, rows) > 1) {
+    pool_.ParallelFor(num_attrs, body);
   } else {
     for (size_t a = 0; a < num_attrs; ++a) body(a);
   }
@@ -310,7 +309,7 @@ double ConditionSearchEngine::PossibleConditions() {
 std::optional<CandidateCondition> FindBestCondition(
     const Dataset& dataset, const RowSubset& rows, CategoryId target,
     const ConditionScorer& scorer, const ConditionSearchOptions& options) {
-  ConditionSearchEngine engine(dataset, options.num_threads);
+  ConditionSearchEngine engine(dataset);
   return engine.FindBest(rows, target, scorer, options);
 }
 

@@ -14,8 +14,8 @@
 // ConditionSearchEngine is the stateful fast path: it keeps a per-dataset
 // SortedColumnCache (each numeric attribute sorted once, prefix sums derived
 // per refinement instead of re-sorting; each categorical attribute's codes
-// copied once) and an optional thread pool that evaluates the attributes of
-// one call in parallel. The same cache answers a condition's coverage and
+// copied once) and a thread pool that evaluates the attributes of one call
+// in parallel. The same cache answers a condition's coverage and
 // the dataset's possible-condition count, so a learner that holds an
 // engine reads each dataset column once per engine. Results are reduced
 // under a total order on candidates — (score, attr index, condition kind,
@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <optional>
 
 #include "common/thread_pool.h"
@@ -67,11 +66,6 @@ struct ConditionSearchOptions {
 
   /// Candidates whose covered *positive* weight is below this are skipped.
   double min_positive_weight = 0.0;
-
-  /// Threads used by the free FindBestCondition function (which builds a
-  /// transient engine per call): 1 = serial, 0 = hardware concurrency.
-  /// Persistent engines take their thread count at construction instead.
-  size_t num_threads = 1;
 };
 
 /// Reusable search engine bound to one dataset.
@@ -130,14 +124,14 @@ class ConditionSearchEngine {
   uint64_t pruned_attr_scans() const { return pruned_attr_scans_.load(); }
 
  private:
-  /// Runs `body(a)` for every attribute index: on the pool when it has
-  /// workers and `rows` rows justify more than one thread, else serially.
+  /// Runs `body(a)` for every attribute index: on the pool when `rows` rows
+  /// justify more than one thread, else serially.
   void ForEachAttribute(size_t rows, const std::function<void(size_t)>& body);
 
   const Dataset& dataset_;
   size_t num_threads_;
   SortedColumnCache cache_;
-  std::unique_ptr<ThreadPool> pool_;          ///< null when serial
+  ThreadPool pool_;                           ///< no workers when serial
   std::vector<SortedColumn> scratch_columns_; ///< one per attribute
   std::vector<uint8_t> membership_;           ///< row mask scratch
   std::atomic<uint64_t> pruned_attr_scans_{0};
@@ -146,10 +140,9 @@ class ConditionSearchEngine {
   bool possible_conditions_valid_ = false;
 };
 
-/// One-shot convenience wrapper: builds a transient engine (thread count
-/// from `options.num_threads`) and runs a single search. Training loops
-/// should hold a ConditionSearchEngine instead so column sorts are cached
-/// across refinements.
+/// One-shot convenience wrapper: builds a transient serial engine and runs
+/// a single search. Training loops should hold a ConditionSearchEngine
+/// instead so column sorts are cached across refinements.
 std::optional<CandidateCondition> FindBestCondition(
     const Dataset& dataset, const RowSubset& rows, CategoryId target,
     const ConditionScorer& scorer, const ConditionSearchOptions& options = {});

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "induction/condition_search.h"
 
@@ -160,12 +161,11 @@ StatusOr<MultiClassPnruleClassifier> MultiClassPnruleLearner::Train(
   // rule counts, or the learner's failure Status — in the class's report
   // entry. Every write is to per-class slots, so class tasks may run
   // concurrently.
-  const auto train_class = [&](size_t cls, const PnruleConfig& config,
-                               ConditionSearchEngine& engine) {
+  const auto train_class = [&](size_t cls, ConditionSearchEngine& engine) {
     ClassTrainStatus& entry = rep.classes[cls];
     Timer timer;
     PnruleTrainInfo info;
-    PnruleLearner learner(config);
+    PnruleLearner learner(config_);
     auto model =
         learner.TrainOnRows(engine, engine.dataset().AllRows(),
                             static_cast<CategoryId>(cls), &info);
@@ -180,46 +180,35 @@ StatusOr<MultiClassPnruleClassifier> MultiClassPnruleLearner::Train(
     models[cls] = std::move(model).value();
   };
 
-  const size_t outer_request = ThreadPool::ResolveThreadCount(train_threads_);
-  if (outer_request <= 1 && budget_ == nullptr) {
-    // Serial class loop, config untouched, every class through one engine:
-    // each column is sorted (or its codes copied) and read once for the
-    // whole committee, and the inner thread pool is spun up once.
+  const size_t outer_width = std::min(
+      ThreadPool::ResolveThreadCount(train_threads_), trainable.size());
+  if (outer_width <= 1) {
+    // Serial class loop, every class through one engine: each column is
+    // sorted (or its codes copied) and read once for the whole committee,
+    // and the inner thread pool is spun up once.
     ConditionSearchEngine engine(dataset, config_.num_threads,
                                  config_.search_cache_budget_bytes);
-    for (size_t cls : trainable) train_class(cls, config_, engine);
-  } else if (!trainable.empty()) {
-    // Fan the class loop out. A shared budget caps the *sum* of outer
-    // class-workers and inner search threads: the outer width is reserved
-    // up front and every class task sizes its engine from a lease. The
-    // committee does not depend on the grants — each binary learner is
-    // bit-identical at any thread count and writes only its own slot.
-    std::shared_ptr<ThreadBudget> budget = budget_;
-    if (budget == nullptr) {
-      budget = std::make_shared<ThreadBudget>(
-          std::max(outer_request,
-                   ThreadPool::ResolveThreadCount(config_.num_threads)));
-    }
-    const size_t outer_width =
-        std::min(std::min(outer_request, trainable.size()), budget->total());
-    budget->Reserve(outer_width);
+    for (size_t cls : trainable) train_class(cls, engine);
+  } else {
+    // Fan the class loop out. Each task builds its engine inside a loop
+    // body, so the engine's pool spawns no workers (common/thread_pool.h):
+    // searches run serially within a task and live threads stay at the
+    // outer pool's workers plus the caller. The committee does not depend on this — each binary
+    // learner is bit-identical at any thread count and writes only its
+    // own slot.
     ThreadPool pool(outer_width);
-    // Concurrent learners on one demand-paged dataset would fight over a
-    // single resident set (one task's fault evicting another's pinned-out
-    // columns); give each task its own paged view of the shared store.
-    const bool clone_paged = dataset.paged() && outer_width > 1;
     pool.ParallelFor(trainable.size(), [&](size_t t) {
-      ThreadBudget::Lease lease = budget->Acquire(budget->total());
-      PnruleConfig config = config_;
-      config.num_threads = lease.count();
       // One engine per task: tasks run concurrently and engine calls must
       // be serial.
       const auto train_on = [&](const Dataset& data) {
-        ConditionSearchEngine engine(data, config.num_threads,
-                                     config.search_cache_budget_bytes);
-        train_class(trainable[t], config, engine);
+        ConditionSearchEngine engine(data, config_.num_threads,
+                                     config_.search_cache_budget_bytes);
+        train_class(trainable[t], engine);
       };
-      if (clone_paged) {
+      // Concurrent learners on one demand-paged dataset would fight over a
+      // single resident set (one task's fault evicting another's pinned-out
+      // columns); give each task its own paged view of the shared store.
+      if (dataset.paged()) {
         train_on(dataset.ClonePagedView());
       } else {
         train_on(dataset);

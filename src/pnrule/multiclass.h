@@ -11,20 +11,19 @@
 // over a thread pool (set_train_threads). Each binary learner is
 // thread-count-invariant and writes only its own class slot, so the
 // committee is bit-identical at any train_threads x num_threads
-// combination. A shared ThreadBudget (set_thread_budget) caps the *sum* of
-// outer class-workers and inner search threads when the caller — e.g. the
-// tuning racer — already fans out above us.
+// combination. Inside a fanned-out class task the learner's condition
+// search runs serially (a pool built inside a loop body spawns no workers,
+// common/thread_pool.h), so live threads never exceed the outer width plus
+// the caller; num_threads widens the search only on the serial class loop.
 
 #ifndef PNR_PNRULE_MULTICLASS_H_
 #define PNR_PNRULE_MULTICLASS_H_
 
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "pnrule/pnrule.h"
 
 namespace pnr {
@@ -120,14 +119,6 @@ class MultiClassPnruleLearner {
   /// learners. The committee is bit-identical for any value.
   void set_train_threads(size_t threads) { train_threads_ = threads; }
 
-  /// Shares a thread budget with an enclosing fan-out (e.g. the tuning
-  /// racer): class tasks size their search engines from budget leases so
-  /// the total of live workers never exceeds the budget. Null (default)
-  /// makes Train build its own budget when train_threads > 1.
-  void set_thread_budget(std::shared_ptr<ThreadBudget> budget) {
-    budget_ = std::move(budget);
-  }
-
   /// Trains a binary model for every class of the schema that has at least
   /// one training example. Fails only if *no* class is trainable. When
   /// `report` is non-null it receives one entry per class — including the
@@ -140,7 +131,6 @@ class MultiClassPnruleLearner {
   PnruleConfig config_;
   std::vector<double> class_weights_;
   size_t train_threads_ = 1;
-  std::shared_ptr<ThreadBudget> budget_;
 };
 
 /// Multiclass accuracy of `classifier` over all rows of `dataset`

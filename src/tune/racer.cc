@@ -146,10 +146,8 @@ StatusOr<RaceResult> Racer::RaceWithEval(
   // One outer pool for the whole race, sized once: rung 0 is always the
   // widest rung (every config, one fold), so later rungs just leave some
   // workers idle rather than re-spawning.
-  const size_t budget_total =
-      ThreadPool::ResolveThreadCount(options_.num_threads);
-  const size_t outer_width = std::min(budget_total, configs.size());
-  ThreadPool pool(outer_width);
+  ThreadPool pool(std::min(
+      ThreadPool::ResolveThreadCount(options_.num_threads), configs.size()));
 
   size_t folds_done = 0;
   for (size_t rung = 0; rung < schedule.size(); ++rung) {
@@ -289,24 +287,18 @@ StatusOr<RaceResult> Racer::Race(
     test_rows[fold] = folds.TestRows(fold);
   }
 
-  // Shared thread budget: the outer rung fan-out reserves its workers, and
-  // each training leases whatever inner width remains. Oversubscription is
-  // impossible by construction; results don't depend on the grants because
+  // Every training runs inside a rung task, so its inner pools spawn no
+  // workers (common/thread_pool.h) whatever num_threads says: live threads
+  // never exceed the outer width. Results don't depend on it because
   // training is bit-identical at any thread count.
-  const size_t budget_total =
-      ThreadPool::ResolveThreadCount(options_.num_threads);
-  auto budget = std::make_shared<ThreadBudget>(budget_total);
-  budget->Reserve(std::min(budget_total, configs.size()));
-
-  TrialEvalFn eval = [this, &dataset, target, &train_rows, &test_rows,
-                      budget](const TrialConfig& trial, size_t /*config*/,
-                              size_t fold) -> StatusOr<FoldEval> {
-    ThreadBudget::Lease lease = budget->Acquire(budget->total());
+  TrialEvalFn eval = [this, &dataset, target, &train_rows, &test_rows](
+                         const TrialConfig& trial, size_t /*config*/,
+                         size_t fold) -> StatusOr<FoldEval> {
     auto classifier = TrainTrialClassifier(trial, dataset, train_rows[fold],
-                                           target, lease.count());
+                                           target, options_.num_threads);
     if (!classifier.ok()) return classifier.status();
     BatchScoreOptions batch;
-    batch.num_threads = lease.count();
+    batch.num_threads = options_.num_threads;
     const Confusion confusion = EvaluateClassifierOnRows(
         **classifier, dataset, test_rows[fold], target, batch);
     FoldEval result;

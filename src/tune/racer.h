@@ -28,9 +28,10 @@
 // Threads change speed, never bytes.
 //
 // Threading shape: rung tasks (config x new-fold pairs) fan out over one
-// outer ThreadPool; each task trains through a ThreadBudget lease
-// (common/thread_pool.h), so the learners' inner condition-search threads
-// share the same global cap instead of multiplying it.
+// outer ThreadPool of min(num_threads, configs) threads. A task's training
+// and scoring run inside a loop body, so their own pools spawn no workers
+// (common/thread_pool.h): the inner searches run serially and the outer
+// width caps live threads instead of multiplying them.
 
 #ifndef PNR_TUNE_RACER_H_
 #define PNR_TUNE_RACER_H_
@@ -75,8 +76,8 @@ struct RacerOptions {
   /// Fraction of survivors successive halving keeps per rung, in (0, 1];
   /// 1.0 disables halving (pure CB racing).
   double keep_fraction = 0.5;
-  /// Total thread budget for the race: outer fan-out plus the learners'
-  /// inner condition-search threads combined. 0 = hardware concurrency.
+  /// Threads for the race's outer (config, fold) fan-out; the learners
+  /// inside each task run serially. 0 = hardware concurrency.
   size_t num_threads = 1;
 
   Status Validate() const;

@@ -10,6 +10,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/file_io.h"
@@ -18,13 +19,13 @@
 namespace pnr::cli {
 namespace {
 
-// A value every flag of `type` accepts (empty for a switch).
-std::string ValidValue(FlagType type) {
-  switch (type) {
+// A value `flag` accepts, for a count its largest (empty for a switch).
+std::string ValidValue(const Flag& flag) {
+  switch (flag.type) {
     case FlagType::kSwitch: return "";
     case FlagType::kText: return "some text";
     case FlagType::kReal: return "-0.25";
-    case FlagType::kCount: return "18446744073709551615";
+    case FlagType::kCount: return std::to_string(flag.max);
     case FlagType::kPort: return "65535";
   }
   return "";
@@ -32,7 +33,7 @@ std::string ValidValue(FlagType type) {
 
 std::vector<std::string> Words(const Flag& flag) {
   std::vector<std::string> words = {std::string("--") + flag.name};
-  if (flag.type != FlagType::kSwitch) words.push_back(ValidValue(flag.type));
+  if (flag.type != FlagType::kSwitch) words.push_back(ValidValue(flag));
   return words;
 }
 
@@ -75,7 +76,7 @@ TEST(CliFlagsTest, EveryDeclaredFlagParsesAndReadsBackTyped) {
         case FlagType::kCount: {
           uint64_t value = 0;
           EXPECT_TRUE(parsed->Read(flag.name, &value));
-          EXPECT_EQ(value, ~uint64_t{0});
+          EXPECT_EQ(value, flag.max);
           break;
         }
         case FlagType::kPort: {
@@ -166,6 +167,37 @@ TEST(CliFlagsTest, RejectsMalformedValuesOfEveryTypedFlag) {
       }
     }
   }
+}
+
+// Flags that size a set of threads stop at kMaxThreads; every other count
+// takes any 64-bit value. Parsing alone decides this, so no thread starts.
+TEST(CliFlagsTest, ThreadCountFlagsStopAtTheCeiling) {
+  const std::vector<std::pair<const char*, const char*>> bounded = {
+      {"train", "--threads"},        {"train", "--train-threads"},
+      {"eval", "--threads"},         {"predict", "--threads"},
+      {"shard", "--threads"},        {"mine", "--threads"},
+      {"tune", "--threads"},         {"serve", "--shards"},
+      {"stream", "--threads"},       {"stream", "--train-threads"},
+      {"stream", "--serve-shards"},
+  };
+  for (const auto& [cmd, name] : bounded) {
+    EXPECT_TRUE(ParseFlags(*FindCommand(cmd), {name, "1024"}).ok())
+        << cmd << " " << name;
+    ExpectRejected(cmd, {name, "1025"},
+                   std::string(name) + " expects a count of at most 1024, "
+                                       "got '1025'");
+    ExpectRejected(cmd, {name, "18446744073709551615"}, "at most 1024");
+  }
+  EXPECT_EQ(kMaxThreads, 1024u);
+  size_t bounded_in_table = 0;
+  for (const Command& command : Commands()) {
+    for (const Flag& flag : command.flags) {
+      if (flag.max != UINT64_MAX) ++bounded_in_table;
+    }
+  }
+  EXPECT_EQ(bounded_in_table, bounded.size());
+  // `pnr shard --shards` counts file shards, not threads.
+  EXPECT_TRUE(ParseFlags(*FindCommand("shard"), {"--shards", "100000"}).ok());
 }
 
 // Reading a flag the subcommand did not declare, or with the wrong type,

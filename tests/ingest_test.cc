@@ -416,12 +416,10 @@ TEST(IngestArffTest, UndeclaredValueReportsLineAndColumn) {
       "1, x\n"
       "2, z\n";
   for (const size_t threads : {size_t{1}, size_t{4}}) {
-    ArffReadOptions options;
-    options.num_threads = threads;
     IngestOptions ingest;
     ingest.num_threads = threads;
     ingest.chunk_bytes = threads == 1 ? 0 : 4;
-    auto dataset = IngestEngine(ingest).ParseArff(text, options);
+    auto dataset = IngestEngine(ingest).ParseArff(text);
     ASSERT_FALSE(dataset.ok());
     const std::string message = dataset.status().ToString();
     EXPECT_NE(message.find("ARFF line 6, column 2"), std::string::npos)

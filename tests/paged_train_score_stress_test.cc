@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/shard_store.h"
 #include "eval/batch.h"
 #include "pnrule/model_io.h"

@@ -1,5 +1,6 @@
 // ThreadPool: correctness of the index distribution, inline fallback,
-// exception propagation, and reuse across many ParallelFor calls.
+// exception propagation, reuse across many ParallelFor calls, and the
+// nesting rule (nested fan-outs run inline on the outer pool's threads).
 
 #include "common/thread_pool.h"
 
@@ -7,8 +8,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace pnr {
@@ -76,42 +80,57 @@ TEST(ThreadPoolTest, ReusableAcrossManyCalls) {
   EXPECT_EQ(total.load(), 200L * 17L);
 }
 
-TEST(ThreadPoolTest, ShutdownIsIdempotentAndDegradesToInline) {
-  ThreadPool pool(4);
-  std::atomic<long> total{0};
-  pool.ParallelFor(100, [&](size_t) { total++; });
-  pool.Shutdown();
-  pool.Shutdown();  // second call is a no-op
-  EXPECT_EQ(pool.num_threads(), 0u);
-  // Work enqueued after shutdown still completes (inline).
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<std::thread::id> ids(32);
-  pool.ParallelFor(ids.size(), [&](size_t i) {
-    total++;
-    ids[i] = std::this_thread::get_id();
+TEST(ThreadPoolTest, NestedPoolSpawnsNoWorkersAndRunsInline) {
+  // The composition rule: inside a loop body a new pool spawns no workers
+  // and its ParallelFor runs every index on the body's own thread.
+  ThreadPool outer(4);
+  std::vector<size_t> nested_workers(8, 99);
+  std::vector<int> off_thread(8, -1);
+  outer.ParallelFor(8, [&](size_t i) {
+    ThreadPool inner(4);
+    nested_workers[i] = inner.num_threads();
+    const std::thread::id body_thread = std::this_thread::get_id();
+    std::atomic<int> elsewhere{0};
+    inner.ParallelFor(16, [&](size_t) {
+      if (std::this_thread::get_id() != body_thread) elsewhere++;
+    });
+    off_thread[i] = elsewhere.load();
   });
-  EXPECT_EQ(total.load(), 132);
-  for (const auto& id : ids) EXPECT_EQ(id, caller);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(nested_workers[i], 0u) << "task " << i;
+    EXPECT_EQ(off_thread[i], 0) << "task " << i;
+  }
 }
 
-TEST(ThreadPoolTest, ShutdownFromAnotherThreadDropsNoWork) {
-  // The SIGTERM shape: a service thread keeps issuing jobs while another
-  // thread shuts the pool down. Every enqueued index must still run
-  // exactly once — in-flight jobs drain, later jobs run inline.
-  ThreadPool pool(4);
-  std::atomic<long> total{0};
-  std::atomic<bool> stop{false};
-  std::thread driver([&] {
-    for (int round = 0; round < 400 && !stop.load(); ++round) {
-      pool.ParallelFor(64, [&](size_t) { total++; });
-    }
-    stop = true;
+TEST(ThreadPoolTest, NestedBodiesStayOnTheOuterThreads) {
+  // Distinct threads seen by nested bodies never exceed the outer pool's
+  // workers plus its caller, however wide the inner pools ask to be.
+  const size_t kOuter = 3;
+  ThreadPool outer(kOuter);
+  std::mutex mutex;
+  std::set<std::thread::id> seen;
+  outer.ParallelFor(32, [&](size_t) {
+    ThreadPool inner(8);
+    inner.ParallelFor(16, [&](size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+      std::lock_guard<std::mutex> lock(mutex);
+      seen.insert(std::this_thread::get_id());
+    });
   });
-  while (total.load() < 64 * 5) std::this_thread::yield();
-  pool.Shutdown();  // concurrent with the driver's ParallelFor loop
-  driver.join();
-  EXPECT_EQ(total.load() % 64, 0) << "a job was torn mid-flight";
-  EXPECT_GE(total.load(), 64L * 5);
+  EXPECT_LE(seen.size(), kOuter + 1);
+}
+
+TEST(ThreadPoolTest, ThrowingBodyRestoresTheCallersMark) {
+  // A body that throws must not leave its thread marked as inside a loop:
+  // pools built afterwards on the same thread still spawn workers.
+  for (const size_t width : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(width);
+    EXPECT_THROW(pool.ParallelFor(
+                     4, [](size_t) { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
+    ThreadPool after(2);
+    EXPECT_EQ(after.num_threads(), 2u) << "width " << width;
+  }
 }
 
 TEST(ThreadPoolTest, ResolveThreadCount) {
@@ -153,10 +172,9 @@ TEST(ThreadBudgetTest, LeaseReturnsExtrasOnDestruction) {
 }
 
 TEST(ThreadBudgetTest, NestedFanOutNeverOversubscribes) {
-  // The racer's composition: an outer pool fans tasks out, every task
-  // leases inner width for its training. The invariant that fixes the old
-  // T x T oversubscription: at any instant the nominal live thread count —
-  // outer workers plus every lease's extras — never exceeds the budget.
+  // Reserved outer threads plus leased extras: at any instant the nominal
+  // live thread count — outer workers plus every lease's extras — never
+  // exceeds the budget.
   const size_t kBudget = 6;
   const size_t kOuter = 3;
   ThreadBudget budget(kBudget);

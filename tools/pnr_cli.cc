@@ -28,6 +28,7 @@
 #include "common/net.h"
 #include "common/string_util.h"
 #include "data/csv.h"
+#include "data/ingest.h"
 #include "data/schema_io.h"
 #include "data/shard_store.h"
 #include "eval/curves.h"
@@ -104,8 +105,9 @@ StatusOr<Dataset> LoadData(const Flags& flags) {
   }
   CsvReadOptions options;
   flags.Read("class-column", &options.class_column);
-  flags.Read("threads", &options.num_threads);
-  return ReadCsv(path, options);
+  IngestOptions ingest;
+  flags.Read("threads", &ingest.num_threads);
+  return IngestEngine(ingest).LoadCsv(path, options);
 }
 
 StatusOr<CategoryId> ResolveTarget(const Flags& flags, const Dataset& data) {
